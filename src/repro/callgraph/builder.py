@@ -64,6 +64,9 @@ class CallGraph:
 
     module: IRModule
     entry: str
+    #: The implicit-call knowledge the graph was built with; the pointer
+    #: analysis reads the data-flow half of each spec from here.
+    registry: ImplicitCallRegistry
     edges: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     implicit_edges: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     reachable: FrozenSet[str] = frozenset()
@@ -143,6 +146,7 @@ class _Builder:
         graph = CallGraph(
             module=self.module,
             entry=self.entry,
+            registry=self.registry,
             edges={uid: frozenset(t) for uid, t in self.edges.items()},
             implicit_edges={
                 uid: frozenset(t) for uid, t in self.implicit_edges.items()

@@ -281,6 +281,7 @@ def build_call_graph_datalog(
     return CallGraph(
         module=module,
         entry=entry,
+        registry=registry,
         edges={uid: frozenset(t) for uid, t in edges.items()},
         implicit_edges={
             uid: frozenset(t) for uid, t in implicit_edges.items()

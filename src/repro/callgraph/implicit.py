@@ -16,7 +16,7 @@ can see, e.g., the registered cleanup receiving its ``data`` pointer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 __all__ = ["ImplicitCallSpec", "ImplicitCallRegistry", "default_registry"]
 
@@ -57,6 +57,23 @@ class ImplicitCallRegistry:
 
     def __contains__(self, function: str) -> bool:
         return function in self.entries
+
+    def canonical(self) -> Dict[str, List[List[Any]]]:
+        """A JSON-ready form for hashing into cache keys.
+
+        Spec order and duplicates never change the analysis, so two
+        registries with the same knowledge have the same canonical form.
+        """
+        return {
+            name: [
+                [fn_arg, [list(pair) for pair in flow]]
+                for fn_arg, flow in sorted(
+                    {(s.fn_arg, tuple(sorted(set(s.data_flow)))) for s in specs}
+                )
+            ]
+            for name, specs in sorted(self.entries.items())
+            if specs
+        }
 
     def merged_with(
         self, extra: Mapping[str, Iterable[int]]

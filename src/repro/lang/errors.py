@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["SourceLocation", "CompileError", "LexError", "ParseError", "SemaError"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLocation:
-    """A point in a source file (1-based line and column)."""
+    """A point in a source file (1-based line and column).
+
+    Slotted because the lexer builds one per token.
+    """
 
     filename: str
     line: int
     column: int
 
-    UNKNOWN: "SourceLocation" = None  # type: ignore[assignment]
+    UNKNOWN: ClassVar["SourceLocation"]
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"

@@ -9,13 +9,20 @@ exception: ``#line N "file"`` / ``# N "file"`` markers update the
 location tracking, so drivers that concatenate several source files (the
 CLI's multi-file mode) get diagnostics pointing at the original file and
 line instead of offsets into the concatenation.
+
+The scanner is one compiled master regex with a named group per token
+class, tried in the lexer's priority order; :func:`tokenize` dispatches
+on ``match.lastgroup`` and tracks line and column from the newlines the
+matches span.  A literal that starts but does not match (an unterminated
+string, a bad escape) falls through to the one-character ``other`` group,
+whose handler pinpoints the diagnostic.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.lang.errors import LexError, SourceLocation
 
@@ -57,8 +64,37 @@ _ESCAPES = {
     "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v",
 }
 
+_ESCAPE = r"\\[" + re.escape("".join(_ESCAPES)) + "]"
+# A string body up to (not including) its closing quote or first error.
+_STRING_BODY = r'[^"\\\n]*(?:' + _ESCAPE + r'[^"\\\n]*)*'
 
-@dataclass(frozen=True)
+# Token classes in priority order.  ``word`` also catches a non-ASCII
+# digit or numeric character at a token start; its handler rejects those.
+_TOKEN_CLASSES = [
+    ("skip", r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+"),  # blanks and comments
+    ("open_comment", r"/\*"),
+    ("directive", r"\#(?:\\\n|[^\n])*"),
+    ("hex", r"0[xX][0-9a-fA-F]*[uUlL]*"),
+    ("number", r"[0-9]+[uUlL]*"),
+    ("word", r"\w+"),
+    ("string", '"' + _STRING_BODY + '"'),
+    ("char", r"'(?:[^'\\]|" + _ESCAPE + ")'"),
+    ("punct", "|".join(re.escape(punct) for punct in _PUNCTS)),
+    ("other", r"."),
+]
+_MASTER = re.compile(
+    "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_CLASSES),
+    re.DOTALL,
+)
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_ESCAPE_SEQUENCE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _unescape(match: "re.Match[str]") -> str:
+    return _ESCAPES[match.group(1)]
+
+
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str
     value: str
@@ -68,187 +104,120 @@ class Token:
         return f"{self.kind}({self.value!r})"
 
 
-class _Cursor:
-    def __init__(self, text: str, filename: str) -> None:
-        self.text = text
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def loc(self) -> SourceLocation:
-        return SourceLocation(self.filename, self.line, self.column)
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.text):
-                return
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def starts_with(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.pos)
-
-
 def tokenize(text: str, filename: str = "<input>") -> List[Token]:
     """Tokenize ``text``; the result always ends with an EOF token."""
-    cursor = _Cursor(text, filename)
     tokens: List[Token] = []
-    while not cursor.at_end():
-        ch = cursor.peek()
-        if ch in " \t\r\n":
-            cursor.advance()
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        start = match.start()
+        if kind == "skip":
+            end = match.end()
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, end) + 1
             continue
-        if cursor.starts_with("//"):
-            while not cursor.at_end() and cursor.peek() != "\n":
-                cursor.advance()
-            continue
-        if cursor.starts_with("/*"):
-            loc = cursor.loc()
-            cursor.advance(2)
-            while not cursor.starts_with("*/"):
-                if cursor.at_end():
-                    raise LexError("unterminated block comment", loc)
-                cursor.advance()
-            cursor.advance(2)
-            continue
-        if ch == "#" and cursor.column == 1:
+        value = match.group()
+        loc = SourceLocation(filename, line, start - line_start + 1)
+        if kind == "word":
+            first = value[0]
+            if first.isalpha() or first == "_":
+                append(
+                    Token(
+                        TokenKind.KEYWORD if value in KEYWORDS else TokenKind.IDENT,
+                        value,
+                        loc,
+                    )
+                )
+            elif first.isdigit():
+                raise LexError(f"non-ASCII digit {first!r} in number", loc)
+            else:
+                raise LexError(f"unexpected character {first!r}", loc)
+        elif kind == "punct":
+            append(Token(TokenKind.PUNCT, value, loc))
+        elif kind == "number":
+            digits = value.rstrip("uUlL")
+            if digits[0] == "0" and len(digits) > 1:
+                bad = next((d for d in digits if d in "89"), None)
+                if bad is not None:
+                    raise LexError(f"invalid digit {bad!r} in octal literal", loc)
+                digits = str(int(digits, 8))
+            append(Token(TokenKind.INT, digits, loc))
+        elif kind == "hex":
+            digits = value.rstrip("uUlL")
+            if len(digits) == 2:
+                raise LexError("malformed hex literal", loc)
+            append(Token(TokenKind.INT, str(int(digits, 16)), loc))
+        elif kind == "string":
+            body = value[1:-1]
+            if "\\" in body:
+                body = _ESCAPE_SEQUENCE.sub(_unescape, body)
+            append(Token(TokenKind.STRING, body, loc))
+        elif kind == "char":
+            body = value[1:-1]
+            char = body if len(body) == 1 else _ESCAPES[body[1]]
+            append(Token(TokenKind.INT, str(ord(char)), loc))
+            if body == "\n":
+                line += 1
+                line_start = start + 2
+        elif kind == "directive":
             # Preprocessor directive: skip the (possibly continued) line,
             # but honor line markers so concatenated inputs keep their
             # original locations.
-            directive: List[str] = []
-            while not cursor.at_end():
-                if cursor.peek() == "\\" and cursor.peek(1) == "\n":
-                    cursor.advance(2)
-                    continue
-                if cursor.peek() == "\n":
-                    break
-                directive.append(cursor.peek())
-                cursor.advance()
-            marker = _LINE_MARKER.match("".join(directive))
+            if start != line_start:
+                raise LexError("unexpected character '#'", loc)
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = start + value.rindex("\n") + 1
+                value = value.replace("\\\n", "")
+            marker = _LINE_MARKER.match(value)
             if marker is not None:
                 # The *next* line is numbered N; the upcoming newline
                 # advances the counter by one.
-                cursor.line = int(marker.group(1)) - 1
+                line = int(marker.group(1)) - 1
                 if marker.group(2) is not None:
-                    cursor.filename = marker.group(2)
-            continue
-        if ch.isalpha() or ch == "_":
-            tokens.append(_lex_word(cursor))
-            continue
-        if ch.isdigit():
-            tokens.append(_lex_number(cursor))
-            continue
-        if ch == '"':
-            tokens.append(_lex_string(cursor))
-            continue
-        if ch == "'":
-            tokens.append(_lex_char(cursor))
-            continue
-        punct = _lex_punct(cursor)
-        if punct is not None:
-            tokens.append(punct)
-            continue
-        raise LexError(f"unexpected character {ch!r}", cursor.loc())
-    tokens.append(Token(TokenKind.EOF, "", cursor.loc()))
+                    filename = marker.group(2)
+        elif kind == "open_comment":
+            raise LexError("unterminated block comment", loc)
+        elif value == '"':
+            raise _string_error(text, start, loc)
+        elif value == "'":
+            raise _char_error(text, start, loc)
+        else:
+            raise LexError(f"unexpected character {value!r}", loc)
+    end_loc = SourceLocation(filename, line, len(text) - line_start + 1)
+    append(Token(TokenKind.EOF, "", end_loc))
     return tokens
 
 
-def _lex_word(cursor: _Cursor) -> Token:
-    loc = cursor.loc()
-    start = cursor.pos
-    while not cursor.at_end() and (cursor.peek().isalnum() or cursor.peek() == "_"):
-        cursor.advance()
-    word = cursor.text[start : cursor.pos]
-    kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-    return Token(kind, word, loc)
+def _shifted(loc: SourceLocation, offset: int) -> SourceLocation:
+    """``loc`` moved ``offset`` characters right on the same line."""
+    return SourceLocation(loc.filename, loc.line, loc.column + offset)
 
 
-def _lex_number(cursor: _Cursor) -> Token:
-    loc = cursor.loc()
-    start = cursor.pos
-    if cursor.peek() == "0" and cursor.peek(1) in "xX":
-        cursor.advance(2)
-        while not cursor.at_end() and cursor.peek() in "0123456789abcdefABCDEF":
-            cursor.advance()
-        text = cursor.text[start : cursor.pos]
-        if len(text) == 2:
-            raise LexError("malformed hex literal", loc)
-        value = int(text, 16)
-    else:
-        while not cursor.at_end() and cursor.peek().isdigit():
-            cursor.advance()
-        text = cursor.text[start : cursor.pos]
-        value = int(text, 8) if text.startswith("0") and len(text) > 1 else int(text)
-    # Swallow integer suffixes (uUlL).
-    while not cursor.at_end() and cursor.peek() in "uUlL":
-        cursor.advance()
-    return Token(TokenKind.INT, str(value), loc)
+def _string_error(text: str, start: int, loc: SourceLocation) -> LexError:
+    """Diagnose a string literal opening at ``start`` that did not match."""
+    stop = _STRING_PREFIX.match(text, start + 1).end()
+    if text.startswith("\\", stop):
+        escape = text[stop + 1 : stop + 2]
+        return LexError(
+            f"unknown escape \\{escape}", _shifted(loc, stop + 1 - start)
+        )
+    if text.startswith("\n", stop):
+        return LexError("newline in string literal", loc)
+    return LexError("unterminated string literal", loc)
 
 
-def _lex_string(cursor: _Cursor) -> Token:
-    loc = cursor.loc()
-    cursor.advance()  # opening quote
-    chars: List[str] = []
-    while True:
-        if cursor.at_end():
-            raise LexError("unterminated string literal", loc)
-        ch = cursor.peek()
-        if ch == '"':
-            cursor.advance()
-            break
-        if ch == "\\":
-            cursor.advance()
-            escape = cursor.peek()
-            if escape not in _ESCAPES:
-                raise LexError(f"unknown escape \\{escape}", cursor.loc())
-            chars.append(_ESCAPES[escape])
-            cursor.advance()
-            continue
-        if ch == "\n":
-            raise LexError("newline in string literal", loc)
-        chars.append(ch)
-        cursor.advance()
-    return Token(TokenKind.STRING, "".join(chars), loc)
-
-
-def _lex_char(cursor: _Cursor) -> Token:
-    loc = cursor.loc()
-    cursor.advance()  # opening quote
-    ch = cursor.peek()
-    if ch == "\\":
-        cursor.advance()
-        escape = cursor.peek()
+def _char_error(text: str, start: int, loc: SourceLocation) -> LexError:
+    """Diagnose a character literal opening at ``start`` that did not match."""
+    char = text[start + 1 : start + 2]
+    if char == "\\":
+        escape = text[start + 2 : start + 3]
         if escape not in _ESCAPES:
-            raise LexError(f"unknown escape \\{escape}", cursor.loc())
-        value = ord(_ESCAPES[escape])
-        cursor.advance()
-    elif ch == "'" or ch == "":
-        raise LexError("empty character literal", loc)
-    else:
-        value = ord(ch)
-        cursor.advance()
-    if cursor.peek() != "'":
-        raise LexError("unterminated character literal", loc)
-    cursor.advance()
-    return Token(TokenKind.INT, str(value), loc)
-
-
-def _lex_punct(cursor: _Cursor) -> Token | None:
-    loc = cursor.loc()
-    for punct in _PUNCTS:
-        if cursor.starts_with(punct):
-            cursor.advance(len(punct))
-            return Token(TokenKind.PUNCT, punct, loc)
-    return None
+            return LexError(f"unknown escape \\{escape}", _shifted(loc, 2))
+    elif char in ("'", ""):
+        return LexError("empty character literal", loc)
+    return LexError("unterminated character literal", loc)

@@ -107,8 +107,11 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        # Offsets past the end read the trailing EOF token.
+        try:
+            return self._tokens[self._pos + offset]
+        except IndexError:
+            return self._tokens[-1]
 
     def _next(self) -> Token:
         token = self._peek()

@@ -160,6 +160,9 @@ class _Engine:
     ) -> None:
         self.graph = graph
         self.module = graph.module
+        # Implicit-call specs by callee: the registry the graph was built
+        # with, so custom spawn functions get their argument data flow.
+        self._implicit = graph.registry.entries
         self.interface = interface
         self.options = options
         self.meter = meter
@@ -562,15 +565,8 @@ class _Engine:
     def _propagate_implicit(
         self, name: str, ctx: int, instr: Call, targets: FrozenSet[str]
     ) -> None:
-        registry = getattr(self.graph, "registry", None)
-        # The registry travels with the call-graph builder; fall back to
-        # reconstructing from implicit edges when absent.
-        from repro.callgraph.implicit import default_registry
-
-        if registry is None:
-            registry = default_registry()
         for target in targets:
-            for spec in registry.specs(target):
+            for spec in self._implicit.get(target, ()):
                 if spec.fn_arg >= len(instr.args):
                     continue
                 entry_names: Set[str] = set()

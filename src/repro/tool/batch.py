@@ -831,30 +831,6 @@ def _analyze_unit_isolated(
 # ---------------------------------------------------------------------------
 
 
-def _unit_cache_key(
-    cache: AnalysisCache,
-    unit: BatchUnit,
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    refine: bool,
-    solver_stats: bool,
-    validate_key: Optional[Dict[str, Any]] = None,
-) -> str:
-    return cache.key(
-        source=unit.source,
-        filename=unit.filename,
-        interface=unit.effective_interface,
-        entry=unit.entry,
-        options=options,
-        budget=budget,
-        degrade=degrade,
-        refine=refine,
-        solver_stats=solver_stats,
-        validate=validate_key,
-    )
-
-
 def _cache_lookup(
     cache: Optional[AnalysisCache], key: Optional[str], unit: BatchUnit
 ) -> Optional[UnitOutcome]:
@@ -898,10 +874,11 @@ def _unit_identity_key(
     degrade: bool,
     refine: bool,
     solver_stats: bool,
-    validate_key: Optional[Dict[str, Any]] = None,
+    validate_key: Optional[Dict[str, Any]],
+    registry: Optional[ImplicitCallRegistry],
 ) -> str:
     """The unit's source-independent state address (static, like
-    :func:`_journal_key` -- workers recompute it without a cache)."""
+    :func:`_content_key` -- workers recompute it without a cache)."""
     return AnalysisCache.identity_key(
         name=unit.name,
         filename=unit.filename,
@@ -913,6 +890,7 @@ def _unit_identity_key(
         refine=refine,
         solver_stats=solver_stats,
         validate=validate_key,
+        registry=registry,
     )
 
 
@@ -1169,6 +1147,7 @@ def _worker_analyze_chunk(
                     config.refine,
                     config.solver_stats,
                     _config_validate_key(config),
+                    config.registry,
                 )
             outcome = _analyze_unit(
                 unit,
@@ -1423,21 +1402,23 @@ def _run_batch_parallel(
     return slots, dict(supervisor.stats), supervisor.interrupted
 
 
-def _journal_key(
+def _content_key(
     unit: BatchUnit,
     options: Optional[AnalysisOptions],
     budget: Optional[ResourceBudget],
     degrade: bool,
     refine: bool,
     solver_stats: bool,
-    validate_key: Optional[Dict[str, Any]] = None,
+    validate_key: Optional[Dict[str, Any]],
+    registry: Optional[ImplicitCallRegistry],
 ) -> str:
-    """The unit's content key for journal identity.
+    """The unit's content key, addressing both its persistent cache
+    entry and its journal identity.
 
-    Deliberately the same key material as the persistent cache
-    (:meth:`AnalysisCache.key` is static, so no cache directory is
-    needed): a resumed sweep must only replay an outcome if the unit's
-    source *and* the analysis configuration are unchanged.
+    :meth:`AnalysisCache.key` is static, so no cache directory is
+    needed: a resumed sweep must only replay an outcome, and a cache
+    only serve one, if the unit's source *and* the analysis
+    configuration are unchanged.
     """
     return AnalysisCache.key(
         source=unit.source,
@@ -1450,6 +1431,7 @@ def _journal_key(
         refine=refine,
         solver_stats=solver_stats,
         validate=validate_key,
+        registry=registry,
     )
 
 
@@ -1539,8 +1521,7 @@ def run_batch(
         else None
     )
     cache_keys: List[Optional[str]] = [
-        _unit_cache_key(
-            cache,
+        _content_key(
             unit,
             options,
             budget,
@@ -1548,6 +1529,7 @@ def run_batch(
             refine,
             solver_stats,
             validate_key,
+            registry,
         )
         if cache is not None
         else None
@@ -1564,6 +1546,7 @@ def run_batch(
                 refine,
                 solver_stats,
                 validate_key,
+                registry,
             )
             for unit in pending
         ]
@@ -1650,7 +1633,7 @@ def _run_batch_inner(
     journal_keys: List[Optional[str]] = [None] * len(pending)
     if journal_obj is not None:
         journal_keys = [
-            _journal_key(
+            _content_key(
                 unit,
                 options,
                 budget,
@@ -1658,6 +1641,7 @@ def _run_batch_inner(
                 refine,
                 solver_stats,
                 validate_key,
+                registry,
             )
             for unit in pending
         ]

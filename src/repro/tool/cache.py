@@ -14,6 +14,8 @@ successful outcome afterwards.  Entries are keyed by a SHA-256 over
   budget can land on a different ladder rung);
 * the ``refine`` and ``solver_stats`` switches (they change the warning
   set and the metrics payload respectively);
+* the implicit-call registry, when it differs from the default one (a
+  custom spawn function changes the call graph and its data flow);
 * the tool version (``repro.__version__``), the analysis-semantics stamp
   (:data:`repro.tool.regionwiz.ANALYSIS_VERSION`), and the cache schema
   version.
@@ -51,6 +53,7 @@ import os
 import tempfile
 from typing import Any, Dict, Optional
 
+from repro.callgraph.implicit import ImplicitCallRegistry, default_registry
 from repro.pointer import AnalysisOptions
 from repro.util.budget import ResourceBudget
 
@@ -60,6 +63,23 @@ __all__ = ["AnalysisCache", "CACHE_SCHEMA_VERSION"]
 #: 2: outcome payloads carry warning ``fingerprints`` (baseline diffing
 #: must work from cached outcomes, so pre-fingerprint entries are stale).
 CACHE_SCHEMA_VERSION = 2
+
+_DEFAULT_REGISTRY = default_registry().canonical()
+
+
+def _optional_material(
+    material: Dict[str, Any],
+    validate: Optional[Dict[str, Any]],
+    registry: Optional[ImplicitCallRegistry],
+) -> None:
+    """Add the key material that enters only when set, so keys built
+    without validation or with the default registry keep their hashes."""
+    if validate is not None:
+        material["validate"] = validate
+    if registry is not None:
+        canonical = registry.canonical()
+        if canonical != _DEFAULT_REGISTRY:
+            material["registry"] = canonical
 
 
 class AnalysisCache:
@@ -85,13 +105,16 @@ class AnalysisCache:
         refine: bool,
         solver_stats: bool,
         validate: Optional[Dict[str, Any]] = None,
+        registry: Optional[ImplicitCallRegistry] = None,
     ) -> str:
         """The content hash addressing one unit's outcome.
 
         ``validate`` is the dynamic-validation configuration (schema
         version plus step budget) when ``--validate`` is on; it enters
         the key material only when set, so caches built before the
-        validation feature keep their hashes.
+        validation feature keep their hashes.  ``registry`` (the
+        implicit-call registry) likewise enters only when it differs
+        from :func:`~repro.callgraph.default_registry`.
         """
         from repro import __version__
         from repro.tool.regionwiz import ANALYSIS_VERSION
@@ -110,8 +133,7 @@ class AnalysisCache:
             "refine": bool(refine),
             "solver_stats": bool(solver_stats),
         }
-        if validate is not None:
-            material["validate"] = validate
+        _optional_material(material, validate, registry)
         blob = json.dumps(material, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
@@ -127,6 +149,7 @@ class AnalysisCache:
         refine: bool,
         solver_stats: bool,
         validate: Optional[Dict[str, Any]] = None,
+        registry: Optional[ImplicitCallRegistry] = None,
     ) -> str:
         """The content hash addressing one unit's *identity*.
 
@@ -154,8 +177,7 @@ class AnalysisCache:
             "refine": bool(refine),
             "solver_stats": bool(solver_stats),
         }
-        if validate is not None:
-            material["validate"] = validate
+        _optional_material(material, validate, registry)
         blob = json.dumps(material, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 

@@ -67,6 +67,26 @@ class TestNumbers:
         with pytest.raises(LexError):
             tokenize("'ab'")
 
+    def test_non_ascii_digit_is_a_located_error(self):
+        # A located LexError, not a ValueError from int().
+        with pytest.raises(LexError) as info:
+            tokenize("int x = 1\u00b2;", filename="f.c")
+        assert info.value.message == "non-ASCII digit '\u00b2' in number"
+        assert str(info.value.loc) == "f.c:1:10"
+
+    def test_unicode_decimal_digits_are_not_numbers(self):
+        with pytest.raises(LexError, match="non-ASCII digit"):
+            tokenize("x = \u0663;")
+
+    def test_non_ascii_digit_inside_identifier_is_fine(self):
+        assert values("x\u00b2") == ["x\u00b2"]
+
+    def test_invalid_octal_digit(self):
+        with pytest.raises(LexError) as info:
+            tokenize("a = 089;")
+        assert info.value.message == "invalid digit '8' in octal literal"
+        assert (info.value.loc.line, info.value.loc.column) == (1, 5)
+
 
 class TestStrings:
     def test_simple_string(self):
@@ -96,6 +116,16 @@ class TestCommentsAndDirectives:
     def test_unterminated_block_comment(self):
         with pytest.raises(LexError):
             tokenize("/* oops")
+
+    def test_block_comment_newlines_advance_the_line(self):
+        tokens = tokenize("/* a\n\n */ x\n  y")
+        assert [(t.loc.line, t.loc.column) for t in tokens] == [
+            (3, 5), (4, 3), (4, 4),
+        ]
+
+    def test_hash_after_column_one_is_an_error(self):
+        with pytest.raises(LexError, match="unexpected character '#'"):
+            tokenize("x #define")
 
     def test_preprocessor_lines_skipped(self):
         text = '#include "apr_pools.h"\n#define X 1\nint x;'

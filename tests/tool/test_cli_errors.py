@@ -68,6 +68,21 @@ class TestExitCodes:
         assert "bad.c:2" in err
         assert "good.c" not in err
 
+    @pytest.mark.parametrize(
+        "number, column", [("1\u00b2", 10), ("1\u0663", 10), ("09", 9)]
+    )
+    def test_bad_digit_in_number_exit_two(
+        self, tmp_path, capsys, number, column
+    ):
+        # A bad digit in a number is an input error, not a crash.
+        path = tmp_path / "digits.c"
+        path.write_text(f"int x = {number};\n", encoding="utf-8")
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"digits.c:1:{column}:" in err
+        assert "digit" in err
+        assert "Traceback" not in err
+
     def test_internal_error_exit_three_with_traceback(self, tmp_path, capsys):
         path = write_source(tmp_path, figure("fig1"))
         with faults.injected("correlation", message="injected crash"):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.tool import format_fig11_table, run_regionwiz
 from repro.tool.report import report_to_json
 from repro.workloads import figure
@@ -78,8 +80,17 @@ class TestJsonReport:
     def test_phases_present(self):
         payload = json.loads(report_to_json(report_for("fig1")))
         assert set(payload["phases_ms"]) == {
-            "call_graph", "context_cloning", "correlation", "post_processing",
+            "frontend", "call_graph", "context_cloning", "correlation",
+            "post_processing",
         }
+
+    def test_total_time_is_the_sum_of_the_phases(self):
+        payload = json.loads(report_to_json(report_for("fig2c")))
+        phases_s = sum(payload["phases_ms"].values()) / 1000
+        assert payload["phases_ms"]["frontend"] > 0
+        assert payload["statistics"]["time_seconds"] == pytest.approx(
+            phases_s, abs=1e-5
+        )
 
     def test_roundtrips_through_json(self):
         text = report_to_json(report_for("fig9"))
