@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.obs.trace import tracing_to
+from repro.obs import observe
+from repro.obs.trace import Tracer
 from repro.tool.batch import run_batch
 from repro.workloads import package, package_units
 
@@ -36,7 +37,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     units = package_units(package(args.package))
-    with tracing_to() as tracer:
+    tracer = Tracer()
+    with observe.observing(tracer):
         result = run_batch(units, keep_going=True, solver_stats=True)
     tracer.write_chrome_trace(args.out)
 

@@ -9,13 +9,16 @@ CLI:
   OpenMetrics ``/metrics`` (with the fleet progress series) and a JSON
   ``/healthz`` while the sweep is still running, writes the final
   ``--metrics-out`` snapshot, and prints plain ``live:`` lines off-TTY;
+  the same run has every other surface on (``--trace``, ``--events``,
+  ``--mem-profile``): the Chrome trace loads, every events line parses,
+  and each unit has one ``phase.end`` record per ``phase.*`` span;
 * two clean runs into a registry pass ``regionwiz history
   --fail-on-regression``; an injected synthetic 3x slowdown flips the
   gate to exit 1; a fresh 1-run registry with ``--min-runs 1`` exits 2
   with a clean error (no traceback);
 * an already-bound ``--metrics-port`` exits 2 with a clean error;
-* the telemetry-*disabled* path (no bus installed) is priced under the
-  same <3% discipline as tracing, recorded in
+* the observation-*disabled* path (no observer installed) is priced
+  under the same <3% discipline as tracing, recorded in
   ``BENCH_live_overhead.json``.
 
 Usage: ``PYTHONPATH=src python benchmarks/smoke_live_telemetry.py``
@@ -33,10 +36,11 @@ import sys
 import tempfile
 import time
 import urllib.request
+from collections import Counter
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from repro.obs.live import TelemetryBus, bus_event, install_bus, uninstall_bus
+from repro.obs import observe
 from repro.obs.registry import RunRegistry, RunRecord
 from repro.tool.batch import BatchUnit, run_batch
 from repro.tool.cli import main as cli_main
@@ -100,13 +104,18 @@ def check_equivalence(paths, failures):
         print("smoke: serial == --jobs 2 batch JSON (mod run_id)")
 
 
-def check_live_server(paths, registry, metrics_out, failures):
+def check_live_server(paths, registry, artifacts, failures):
     """One supervised run scraped mid-flight, snapshot checked after."""
     env = dict(os.environ, PYTHONPATH="src")
+    metrics_out = os.path.join(artifacts, "metrics.txt")
+    trace_out = os.path.join(artifacts, "trace.json")
+    events_out = os.path.join(artifacts, "events.jsonl")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.tool.cli", "--batch", "--json",
          "--keep-going", "--jobs", "2", "--live", "--metrics-port", "0",
-         "--metrics-out", metrics_out, "--registry", registry, *paths],
+         "--metrics-out", metrics_out, "--registry", registry,
+         "--trace", trace_out, "--events", events_out, "--mem-profile",
+         *paths],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -164,10 +173,45 @@ def check_live_server(paths, registry, metrics_out, failures):
             f"--metrics-out units_done != {len(paths)}:"
             f" {match.group(0) if match else 'missing'}"
         )
+    check_all_surfaces(trace_out, events_out, len(paths), failures)
     if not failures:
         print(
             f"smoke: /metrics + /healthz live on port {port},"
             f" final snapshot counts {len(paths)}/{len(paths)} units"
+        )
+
+
+def check_all_surfaces(trace_out, events_out, units, failures):
+    """The trace and the event log of one run describe the same phases."""
+    try:
+        with open(trace_out) as handle:
+            trace = json.load(handle)
+    except (OSError, ValueError) as error:
+        failures.append(f"--trace output does not load: {error}")
+        return
+    spans = Counter(
+        event["args"].get("unit")
+        for event in trace["traceEvents"]
+        if event["ph"] == "B" and event["name"].startswith("phase.")
+    )
+    ends: Counter = Counter()
+    with open(events_out) as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                record = json.loads(line)
+            except ValueError:
+                failures.append(f"--events line {number} does not parse")
+                return
+            if record["kind"] == "phase.end":
+                ends[record["unit"]] += 1
+    if len(spans) != units or ends != spans:
+        failures.append(
+            f"phase.end per unit {dict(ends)} != phase spans {dict(spans)}"
+        )
+    else:
+        print(
+            f"smoke: trace + events agree on {sum(spans.values())}"
+            f" phase span(s) over {units} unit(s)"
         )
 
 
@@ -245,14 +289,33 @@ def check_clean_errors(paths, failures):
         print("smoke: min-runs and bound-port failures exit 2 cleanly")
 
 
-def check_disabled_overhead(failures):
-    """Price the telemetry-off path like the tracing-off guard.
+class _CallCounter(observe.Observer):
+    """Counts every span opened and every event emitted."""
 
-    With no bus installed a batch run still calls :func:`bus_event` for
-    the sweep, every unit outcome, and the end-of-sweep marker; each call
-    is one global read plus a None check.  The guard asserts that those
-    calls, priced at the measured no-op rate, are noise (<3%) relative
-    to the serial sweep they annotate.
+    spans = ("*",)
+    events = ("*",)
+
+    def __init__(self):
+        self.opened = 0
+        self.emitted = 0
+
+    def on_open(self, span):
+        self.opened += 1
+
+    def on_event(self, kind, fields):
+        self.emitted += 1
+
+
+def check_disabled_overhead(failures):
+    """Price the observation-off path like the tracing-off guard.
+
+    With no observer installed a batch run still calls
+    :func:`repro.obs.observe.span` for every unit, rung, phase and
+    fixpoint, and :func:`repro.obs.observe.event` for the sweep, cache
+    probes, warnings, every unit outcome and the end-of-sweep marker;
+    each call is one global read plus a None check.  The guard asserts
+    that those calls, priced at the measured no-op rates, are noise
+    (<3%) relative to the serial sweep they annotate.
     """
     units = [
         BatchUnit(name=name, source=figure(name).full_source)
@@ -264,37 +327,34 @@ def check_disabled_overhead(failures):
         run_batch(units, keep_going=True)
         best = min(best, time.perf_counter() - start)
     # Count the disabled-path calls an identical run makes by running
-    # once more with a bus installed and a counting handler.
-    bus = TelemetryBus()
-    calls = {"n": 0}
-    original = bus.handle
-
-    def counting_handle(kind, **fields):
-        calls["n"] += 1
-        original(kind, **fields)
-
-    bus.handle = counting_handle
-    previous = install_bus(bus)
-    try:
+    # once more under an observer that consumes every name.
+    counter = _CallCounter()
+    with observe.observing(counter):
         run_batch(units, keep_going=True)
-    finally:
-        uninstall_bus(previous)
-    events = calls["n"]
+    spans, events = counter.opened, counter.emitted
     iterations = 200_000
     start = time.perf_counter()
     for _ in range(iterations):
-        bus_event("unit.done", index=0, outcome=None)
-    per_call = (time.perf_counter() - start) / iterations
-    overhead = (events * per_call) / best
+        observe.event("unit.done", index=0, outcome=None)
+    event_cost = (time.perf_counter() - start) / iterations
+    start = time.perf_counter()
+    for _ in range(iterations):
+        with observe.span("phase.frontend", unit="u") as span:
+            span.set(functions=0)
+    span_cost = (time.perf_counter() - start) / iterations
+    overhead = (events * event_cost + spans * span_cost) / best
     print(
-        f"smoke: telemetry-off overhead {overhead:.4%}"
-        f" ({events} bus_event call(s) @ {per_call * 1e9:.0f}ns"
+        f"smoke: observation-off overhead {overhead:.4%}"
+        f" ({events} event call(s) @ {event_cost * 1e9:.0f}ns,"
+        f" {spans} span(s) @ {span_cost * 1e9:.0f}ns"
         f" over {best * 1000:.1f}ms; required < {MAX_OVERHEAD:.0%})"
     )
     stats = {
         "baseline_ms": round(best * 1000, 2),
-        "bus_events": events,
-        "noop_ns": round(per_call * 1e9, 1),
+        "events": events,
+        "spans": spans,
+        "noop_ns": round(event_cost * 1e9, 1),
+        "noop_span_ns": round(span_cost * 1e9, 1),
         "overhead": round(overhead, 5),
     }
     try:
@@ -305,7 +365,7 @@ def check_disabled_overhead(failures):
         pass
     if overhead >= MAX_OVERHEAD:
         failures.append(
-            f"disabled telemetry costs {overhead:.2%} of a serial sweep"
+            f"disabled observation costs {overhead:.2%} of a serial sweep"
         )
 
 
@@ -318,8 +378,9 @@ def main() -> int:
         default=None,
         metavar="DIR",
         help=(
-            "keep the registry DB and final metrics snapshot in DIR"
-            " (CI uploads them); default: a throwaway tempdir"
+            "keep the registry DB, final metrics snapshot, Chrome trace"
+            " and events log in DIR (CI uploads them); default: a"
+            " throwaway tempdir"
         ),
     )
     args = parser.parse_args()
@@ -329,9 +390,8 @@ def main() -> int:
         os.makedirs(artifacts, exist_ok=True)
         paths = write_corpus(tmp)
         registry = os.path.join(artifacts, "runs.sqlite")
-        metrics_out = os.path.join(artifacts, "metrics.txt")
         check_equivalence(paths, failures)
-        check_live_server(paths, registry, metrics_out, failures)
+        check_live_server(paths, registry, artifacts, failures)
         check_regression_gate(paths, registry, failures)
         check_clean_errors(paths, failures)
     check_disabled_overhead(failures)

@@ -11,10 +11,13 @@ Asserts the trace/replay/correlate loop end to end:
 * the ``--trace-out`` artifact round-trips: ``load_trace`` on the
   written JSONL, replayed through :func:`repro.obs.replay.replay_trace`,
   is consistent with the runtime fault log and reproduces the verdict;
-* the **disabled** path stays cheap: the ``if self.tracer is not None``
+* the **disabled** paths stay cheap: the ``if self.tracer is not None``
   guards the runtime executes on an untraced run, priced at the
   microbenched per-check cost, must stay under 3% of that run's wall
-  time (same method as ``bench_trace_overhead``).
+  time; and the lifecycle events a traced run publishes on the
+  observation path, priced at the disabled ``observe.event`` cost, must
+  stay under 3% of the traced run (same method as
+  ``bench_trace_overhead``).
 
 Usage: ``PYTHONPATH=src python benchmarks/smoke_validate.py``
 """
@@ -31,6 +34,7 @@ import time
 
 from repro.interfaces import APR_HEADER, apr_pools_interface
 from repro.lang import analyze, parse
+from repro.obs import observe
 from repro.obs.replay import replay_trace
 from repro.runtime import RegionTracer, load_trace, run_program
 from repro.tool.batch import run_batch
@@ -183,14 +187,35 @@ def _guard_cost_seconds(iterations: int = 200_000) -> float:
     return elapsed / iterations
 
 
+def _event_cost_seconds(iterations: int = 200_000) -> float:
+    """Per-call cost of a disabled ``observe.event`` call."""
+    start = time.perf_counter()
+    for _ in range(iterations):
+        observe.event("region.create", region=1, name="r")
+    return (time.perf_counter() - start) / iterations
+
+
+class _PublishedCounter(observe.Observer):
+    events = ("*",)
+
+    def __init__(self):
+        self.published = 0
+
+    def on_event(self, kind, fields):
+        self.published += 1
+
+
 def check_disabled_overhead(failures):
     sema = analyze(parse(SERVER))
 
     # Count guard executions by tracing one run: every emitted event is
     # one guard that fired, so the event count bounds the guard count an
-    # untraced run executes on the same path.
+    # untraced run executes on the same path.  The same run counts the
+    # lifecycle events the tracer publishes on the observation path.
     tracer = RegionTracer()
-    run_program(sema, apr_pools_interface(), tracer=tracer)
+    counter = _PublishedCounter()
+    with observe.observing(counter):
+        run_program(sema, apr_pools_interface(), tracer=tracer)
     guards = len(tracer.records)
 
     best = float("inf")
@@ -210,6 +235,24 @@ def check_disabled_overhead(failures):
     if overhead >= MAX_DISABLED_OVERHEAD:
         failures.append(
             f"disabled tracing costs {overhead:.2%} of an untraced run"
+            f" (gate: < {MAX_DISABLED_OVERHEAD:.0%})"
+        )
+
+    traced = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        run_program(sema, apr_pools_interface(), tracer=RegionTracer())
+        traced = min(traced, time.perf_counter() - start)
+    per_event = _event_cost_seconds()
+    share = (counter.published * per_event) / traced
+    print(
+        f"smoke: observation-off share of a traced run {share:.3%}"
+        f" ({counter.published} event(s) x {per_event * 1e9:.1f}ns"
+        f" / {traced * 1000:.2f}ms run)"
+    )
+    if share >= MAX_DISABLED_OVERHEAD:
+        failures.append(
+            f"disabled observation costs {share:.2%} of a traced run"
             f" (gate: < {MAX_DISABLED_OVERHEAD:.0%})"
         )
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.callgraph.implicit import ImplicitCallRegistry, default_registry
-from repro.obs.trace import trace_span
+from repro.obs import observe
 from repro.util.budget import BudgetMeter
 from repro.ir import (
     Add,
@@ -130,7 +130,7 @@ class _Builder:
     # ------------------------------------------------------------------
 
     def run(self) -> CallGraph:
-        with trace_span("callgraph.fixpoint") as span:
+        with observe.span("callgraph.fixpoint") as span:
             iterations = 0
             changed = True
             while changed:

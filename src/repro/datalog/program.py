@@ -37,7 +37,7 @@ from repro.datalog.rules import (
     Var,
     parse_rules,
 )
-from repro.obs.trace import trace_span, tracing
+from repro.obs import observe
 from repro.util.budget import BudgetMeter
 from repro.util.graph import strongly_connected_components
 
@@ -425,7 +425,7 @@ class Program:
         if provenance:
             store.provenance = {}
             store.fact_keys = set()
-        with trace_span("datalog.solve") as span:
+        with observe.span("datalog.solve") as span:
             for name, facts in self._facts.items():
                 store.load_facts(name, facts)
             for stratum in strata:
@@ -615,7 +615,7 @@ class Solution:
             strata = program._stratify()
             ustats.mode = "delta"
             ustats.strata_total = len(strata)
-            with trace_span("datalog.update") as span:
+            with observe.span("datalog.update") as span:
                 store.apply_update(strata, program._facts, eff_add, eff_del,
                                    ustats)
                 span.set(
@@ -802,7 +802,7 @@ class _SetStore(_Store):
         return delta
 
     def run_stratum(self, rules: List[Rule]) -> None:
-        with trace_span("datalog.stratum") as span:
+        with observe.span("datalog.stratum") as span:
             self._run_stratum(rules, span)
 
     def _run_stratum(self, rules: List[Rule], span) -> None:
@@ -1159,7 +1159,7 @@ class _SetStore(_Store):
             # Slots are overwritten before their next read (the plan only
             # reads a slot after the step that binds it), so no unbinding.
 
-        with trace_span("datalog.rule") as span:
+        with observe.span("datalog.rule") as span:
             if prov is not None:
                 join_prov(0)
             else:
@@ -1834,7 +1834,7 @@ class _BddStore(_Store):
     ) -> int:
         """Evaluate one rule body; returns a node on the head's instances."""
         started = time.perf_counter()
-        with trace_span("datalog.rule") as span:
+        with observe.span("datalog.rule") as span:
             try:
                 return self._eval_rule_inner(rule, delta_atom, delta_node)
             finally:
@@ -1907,7 +1907,7 @@ class _BddStore(_Store):
         return node
 
     def run_stratum(self, rules: List[Rule]) -> None:
-        with trace_span("datalog.stratum") as span:
+        with observe.span("datalog.stratum") as span:
             self._run_stratum(rules, span)
 
     def _run_stratum(self, rules: List[Rule], span) -> None:

@@ -1,15 +1,27 @@
 """Observability: tracing, metrics, provenance, and warning lifecycle.
 
 Cross-cutting facilities every later performance PR measures itself
-against:
+against.  Instrumented code emits through one path,
+:mod:`repro.obs.observe` (``observe.span`` and ``observe.event``), and
+every run-time surface is an observer installed on it:
 
-* :mod:`repro.obs.trace` -- a hierarchical span tracer threaded through
-  the four pipeline phases, Datalog strata/rules, degradation-ladder
-  rungs, and batch units; exports Chrome ``trace_event`` JSON
-  (``--trace``) and a text profile tree (``--profile``);
+* :mod:`repro.obs.observe` -- the observer registry: the only
+  process-global observation state, one install/restore
+  (``observing``), and the shared no-op when nothing is installed;
+* :mod:`repro.obs.trace` -- the span tracer observing the pipeline
+  phases, Datalog strata/rules, degradation-ladder rungs, and batch
+  units; exports Chrome ``trace_event`` JSON (``--trace``) and a text
+  profile tree (``--profile``);
+* :mod:`repro.obs.events` -- the structured JSONL event log
+  (``--events``): phase boundaries, ladder degradations, budget trips,
+  cache probes, batch outcomes, and warning emissions as one
+  machine-parseable stream shared across worker processes;
+* :mod:`repro.obs.live` -- the live fleet bus behind ``--live``,
+  ``--metrics-port`` and ``--metrics-out``;
 * :mod:`repro.obs.metrics` -- a unified metrics registry absorbing
   ``SolverStats`` and ``BudgetMeter`` readings into one namespaced
-  store, serialized into JSON reports and aggregated across batch runs;
+  store, serialized into JSON reports and aggregated across batch runs,
+  plus the ``--mem-profile`` observer of per-phase tracemalloc peaks;
 * :mod:`repro.obs.provenance` -- Datalog derivation traces behind
   ``--explain``, turning each warning into a rule-by-rule chain from
   allocation sites through the ownership closure and the missing
@@ -19,23 +31,12 @@ against:
 * :mod:`repro.obs.history` -- the JSONL baseline store and the
   new/persisting/fixed differ behind ``--baseline``/``--save-baseline``
   and the ``--fail-on-new`` CI gate;
-* :mod:`repro.obs.events` -- the structured JSONL event log
-  (``--events``): phase boundaries, ladder degradations, budget trips,
-  cache probes, batch outcomes, and warning emissions as one
-  machine-parseable stream shared across worker processes;
 * :mod:`repro.obs.html` -- the single-file ``--html-report`` fusing
   warnings + diff + metrics + profile + batch grid with no network
   fetches.
 """
 
-from repro.obs.events import (
-    EventLog,
-    current_event_log,
-    emit_event,
-    events_enabled,
-    install_event_log,
-    uninstall_event_log,
-)
+from repro.obs.events import EventLog
 from repro.obs.fingerprint import pair_fingerprint, warning_fingerprint
 from repro.obs.history import (
     BaselineEntry,
@@ -45,7 +46,13 @@ from repro.obs.history import (
     save_baseline,
 )
 from repro.obs.html import render_html_report, write_html_report
-from repro.obs.metrics import MetricsRegistry, aggregate_metrics, format_metrics
+from repro.obs.metrics import (
+    MemProfile,
+    MetricsRegistry,
+    aggregate_metrics,
+    format_metrics,
+)
+from repro.obs.observe import Observer, observing
 from repro.obs.replay import ReplayResult, replay_trace
 from repro.obs.validate import (
     VALIDATION_SCHEMA_VERSION,
@@ -53,22 +60,14 @@ from repro.obs.validate import (
     correlate_warnings,
     label_warning,
 )
-from repro.obs.trace import (
-    SpanRecord,
-    Tracer,
-    current_tracer,
-    install_tracer,
-    trace_instant,
-    trace_span,
-    tracing,
-    tracing_to,
-    uninstall_tracer,
-)
+from repro.obs.trace import SpanRecord, Tracer
 
 __all__ = [
     "BaselineEntry",
     "EventLog",
+    "MemProfile",
     "MetricsRegistry",
+    "Observer",
     "ReplayResult",
     "SpanRecord",
     "Tracer",
@@ -77,26 +76,15 @@ __all__ = [
     "WarningDiff",
     "aggregate_metrics",
     "correlate_warnings",
-    "current_event_log",
-    "current_tracer",
     "diff_entries",
-    "emit_event",
-    "events_enabled",
     "format_metrics",
-    "install_event_log",
-    "install_tracer",
     "label_warning",
     "load_baseline",
+    "observing",
     "pair_fingerprint",
     "render_html_report",
     "replay_trace",
     "save_baseline",
-    "trace_instant",
-    "trace_span",
-    "tracing",
-    "tracing_to",
-    "uninstall_event_log",
-    "uninstall_tracer",
     "warning_fingerprint",
     "write_html_report",
 ]

@@ -5,13 +5,18 @@ go?" after the fact; the event log answers "what happened, in order?"
 as a machine-parseable stream.  One JSON record per line, one line per
 event:
 
-* ``phase.start`` / ``phase.end`` -- each pipeline phase, per unit;
+* ``phase.start`` / ``phase.end`` -- each pipeline phase, per unit
+  (derived from the ``phase.*`` spans: one pair per span, with the
+  span's ``unit`` and, on the end record, its ``duration_ms``);
 * ``ladder.degrade`` -- a degradation-ladder rung blew its budget;
 * ``budget.trip`` -- the cooperative checkpoint that detected it
   (resource, limit, used, phase);
 * ``cache.hit`` / ``cache.miss`` -- persistent-cache probes;
 * ``batch.unit`` -- one unit's final outcome in a sweep;
 * ``warning`` -- one warning emitted (fingerprint, rank, unit);
+* ``incremental.probe`` / ``.update`` / ``.cold`` / ``.fallback`` /
+  ``.serve`` -- what an incremental session did with a unit (see
+  :mod:`repro.tool.incremental`);
 * supervisor events (see :mod:`repro.tool.supervise`):
   ``supervisor.worker-lost`` (a pool worker died with the unit in
   flight), ``supervisor.respawn`` (fresh pool after backoff),
@@ -34,9 +39,11 @@ seq)``.  Workers append to the same file; each record is written as a
 single short ``write()`` of one line, so concurrent appends interleave
 at line granularity.
 
-Like the tracer, the log is process-global and off by default:
-:func:`emit_event` is a single global read plus a ``None`` check when no
-log is installed, so instrumentation sites call it unconditionally.
+The log is an observer (see :mod:`repro.obs.observe`): it consumes
+exactly the event kinds above (:attr:`EventLog.events`) and the
+``phase.*`` spans, so instrumentation sites emit through
+``observe.event`` unconditionally and pay one global read when no
+observer is installed.
 """
 
 from __future__ import annotations
@@ -46,27 +53,37 @@ import os
 import time
 from typing import Any, Dict, Optional
 
-__all__ = [
-    "EventLog",
-    "emit_event",
-    "events_enabled",
-    "current_event_log",
-    "install_event_log",
-    "uninstall_event_log",
-]
+from repro.obs.observe import Observer, Span
+
+__all__ = ["EventLog"]
 
 #: Bump when the record shape changes (consumers key on this).
 EVENT_SCHEMA_VERSION = 1
 
 
-class EventLog:
+class EventLog(Observer):
     """An append-only JSONL event sink bound to one file.
 
     ``append=False`` (the parent process) truncates the file and writes
     a ``log.open`` header record carrying the schema version and epoch;
     workers open with ``append=True`` and the parent's ``epoch`` so
-    their timestamps share the parent's time zero.
+    their timestamps share the parent's time zero.  An appending log
+    opens its file at its first record, so an unused one is picklable.
     """
+
+    spans = ("phase.*",)
+    events = (
+        "ladder.degrade",
+        "budget.trip",
+        "cache.hit",
+        "cache.miss",
+        "batch.unit",
+        "batch.interrupted",
+        "warning",
+        "incremental.*",
+        "supervisor.*",
+        "journal.replay",
+    )
 
     def __init__(
         self,
@@ -79,14 +96,9 @@ class EventLog:
         self._epoch = time.perf_counter() if epoch is None else epoch
         self._seq = 0
         self.run_id = run_id
+        self._handle = None
         if not append:
             open(self.path, "w").close()  # truncate the previous log
-        # Everyone -- parent included -- writes in O_APPEND mode: an
-        # append-mode write always lands at the current end of file, so
-        # the parent's offset can never clobber lines workers appended
-        # meanwhile.  Line buffering keeps each record a single write.
-        self._handle = open(self.path, "a", buffering=1)
-        if not append:
             header: Dict[str, Any] = {
                 "schema": EVENT_SCHEMA_VERSION,
                 "epoch": round(self._epoch, 6),
@@ -110,11 +122,42 @@ class EventLog:
             "kind": kind,
         }
         record.update(fields)
+        if self._handle is None:
+            # Everyone -- parent included -- writes in O_APPEND mode: an
+            # append-mode write always lands at the current end of file,
+            # so the parent's offset can never clobber lines workers
+            # appended meanwhile.  Line buffering keeps each record a
+            # single write.
+            self._handle = open(self.path, "a", buffering=1)
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     def close(self) -> None:
-        if not self._handle.closed:
+        if self._handle is not None and not self._handle.closed:
             self._handle.close()
+
+    # -- the observer side -------------------------------------------------
+
+    def on_open(self, span: Span) -> None:
+        self.emit(
+            "phase.start",
+            phase=span.name[len("phase."):],
+            unit=span.attrs.get("unit"),
+        )
+
+    def on_close(self, span: Span) -> None:
+        self.emit(
+            "phase.end",
+            phase=span.name[len("phase."):],
+            unit=span.attrs.get("unit"),
+            duration_ms=round((span.end - span.start) * 1000.0, 3),
+        )
+
+    def on_event(self, kind: str, fields: Dict[str, Any]) -> None:
+        self.emit(kind, **fields)
+
+    def for_worker(self) -> "EventLog":
+        """An appending log on this one's file and timeline."""
+        return EventLog(self.path, epoch=self._epoch, append=True)
 
     def __enter__(self) -> "EventLog":
         return self
@@ -122,40 +165,3 @@ class EventLog:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-
-# ---------------------------------------------------------------------------
-# The process-global active event log (mirrors the tracer registry)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[EventLog] = None
-
-
-def emit_event(kind: str, **fields: Any) -> None:
-    """Emit one event on the active log (no-op when logging is off)."""
-    log = _ACTIVE
-    if log is not None:
-        log.emit(kind, **fields)
-
-
-def events_enabled() -> bool:
-    """Whether an event log is installed (guards costly field prep)."""
-    return _ACTIVE is not None
-
-
-def current_event_log() -> Optional[EventLog]:
-    return _ACTIVE
-
-
-def install_event_log(log: EventLog) -> Optional[EventLog]:
-    """Install ``log`` as the active event log; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = log
-    return previous
-
-
-def uninstall_event_log(previous: Optional[EventLog] = None) -> None:
-    """Restore ``previous`` (default: disable event logging)."""
-    global _ACTIVE
-    _ACTIVE = previous

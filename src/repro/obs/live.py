@@ -7,7 +7,8 @@ the supervision machinery that already exists:
 * :class:`TelemetryBus` -- the parent-side accumulator.  It is fed from
   three places, none of which add work to the analysis hot path:
 
-  - **parent hooks** (:func:`bus_event`): the batch scheduler announces
+  - **parent events** (the bus is an observer of the one event path,
+    :mod:`repro.obs.observe`): the batch scheduler announces
     the sweep (``batch.start`` with every unit's source size -- the same
     byte proxy the LPT dispatch plan load-balances on), each completed
     outcome (``unit.done``), and the supervisor's poll loop
@@ -31,11 +32,10 @@ the supervision machinery that already exists:
   because LPT dispatch runs the big units first and a unit-count ETA
   would be wildly optimistic early and pessimistic late.
 
-Like the tracer and the event log, the bus is process-global and off by
-default: :func:`bus_event` is one module-global read plus a ``None``
-check when no bus is installed, so the batch scheduler calls it
-unconditionally and ``benchmarks/smoke_live_telemetry.py`` holds the
-disabled path under the same <3% discipline as tracing.
+With no observer installed, each of those ``observe.event`` calls is
+one module-global read plus a ``None`` check, so the batch scheduler
+emits unconditionally and ``benchmarks/smoke_live_telemetry.py`` holds
+the disabled path under the same <3% discipline as tracing.
 """
 
 from __future__ import annotations
@@ -45,15 +45,9 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, TextIO
 
-__all__ = [
-    "new_run_id",
-    "TelemetryBus",
-    "LiveView",
-    "bus_event",
-    "current_bus",
-    "install_bus",
-    "uninstall_bus",
-]
+from repro.obs.observe import Observer
+
+__all__ = ["new_run_id", "TelemetryBus", "LiveView"]
 
 
 def new_run_id() -> str:
@@ -66,7 +60,7 @@ def new_run_id() -> str:
     return secrets.token_hex(4)
 
 
-class TelemetryBus:
+class TelemetryBus(Observer):
     """Parent-side accumulator for one run's live telemetry.
 
     Thread-safe: the batch scheduler feeds it from the main thread while
@@ -75,6 +69,15 @@ class TelemetryBus:
     that died before its first flush, a torn journal record, or an
     outcome without metrics must never take the view down.
     """
+
+    events = (
+        "batch.start",
+        "unit.start",
+        "unit.done",
+        "worker.delta",
+        "tick",
+        "batch.end",
+    )
 
     def __init__(self, run_id: Optional[str] = None, jobs: int = 1) -> None:
         self.run_id = run_id or new_run_id()
@@ -106,8 +109,11 @@ class TelemetryBus:
         """Attach a renderer notified after every handled event."""
         self._view = view.notify
 
+    def on_event(self, kind: str, fields: Dict[str, Any]) -> None:
+        self.handle(kind, **fields)
+
     def handle(self, kind: str, **fields: Any) -> None:
-        """Dispatch one bus event (the :func:`bus_event` entry point)."""
+        """Dispatch one bus event."""
         with self._lock:
             if kind == "batch.start":
                 self._start(fields)
@@ -356,35 +362,3 @@ class LiveView:
                 self.stream.flush()
         except (OSError, ValueError):
             pass
-
-
-# ---------------------------------------------------------------------------
-# The process-global active bus (mirrors the tracer/event-log registries)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[TelemetryBus] = None
-
-
-def bus_event(kind: str, **fields: Any) -> None:
-    """Feed the active bus (a no-op global read when telemetry is off)."""
-    bus = _ACTIVE
-    if bus is not None:
-        bus.handle(kind, **fields)
-
-
-def current_bus() -> Optional[TelemetryBus]:
-    return _ACTIVE
-
-
-def install_bus(bus: TelemetryBus) -> Optional[TelemetryBus]:
-    """Install ``bus`` as the active bus; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = bus
-    return previous
-
-
-def uninstall_bus(previous: Optional[TelemetryBus] = None) -> None:
-    """Restore ``previous`` (default: disable live telemetry)."""
-    global _ACTIVE
-    _ACTIVE = previous

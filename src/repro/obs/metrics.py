@@ -22,30 +22,44 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
+from repro.obs.observe import Observer, Span
+
 __all__ = [
+    "MemProfile",
     "MetricsRegistry",
     "aggregate_metrics",
     "format_metrics",
-    "set_mem_profile",
-    "mem_profile_enabled",
 ]
 
-# Per-phase tracemalloc peaks (--mem-profile) are gated by a process
-# global rather than a threaded-through argument: the flag is set once
-# per process (CLI parse time in the parent, _worker_init in workers)
-# and the disabled path in the pipeline stays one boolean read per
-# phase -- the same "provably free when off" discipline as tracing.
-_MEM_PROFILE = False
 
+class MemProfile(Observer):
+    """Per-phase tracemalloc peaks (``--mem-profile``), as an observer.
 
-def set_mem_profile(enabled: bool) -> None:
-    """Enable/disable per-phase tracemalloc peak gauges process-wide."""
-    global _MEM_PROFILE
-    _MEM_PROFILE = bool(enabled)
+    Resets the tracemalloc peak when a ``phase.*`` span opens and
+    attaches the peak seen since as the span's ``peak_mem_bytes``
+    attribute when it closes; the pipeline folds those into
+    ``pipeline.<phase>.peak_mem_bytes`` gauges.  tracemalloc itself is
+    *not* free -- that is exactly why the peaks hide behind an explicit
+    opt-in, and why uninstalled they cost nothing at all.
+    """
 
+    spans = ("phase.*",)
 
-def mem_profile_enabled() -> bool:
-    return _MEM_PROFILE
+    def on_open(self, span: Span) -> None:
+        import tracemalloc
+
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+
+    def on_close(self, span: Span) -> None:
+        import tracemalloc
+
+        if tracemalloc.is_tracing():
+            span.attrs["peak_mem_bytes"] = tracemalloc.get_traced_memory()[1]
+
+    def for_worker(self) -> "MemProfile":
+        return MemProfile()
 
 
 def _percentile(ordered: Sequence[float], q: float) -> float:

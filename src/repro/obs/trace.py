@@ -1,9 +1,13 @@
 """Hierarchical span tracing for the RegionWiz pipeline.
 
-A :class:`Tracer` records a tree of timed spans -- pipeline phases,
+A :class:`Tracer` is the observer (see :mod:`repro.obs.observe`) that
+records every span as a tree of timed records -- pipeline phases,
 degradation-ladder attempts, Datalog strata and rule evaluations, batch
 units -- each carrying wall time, the peak-RSS delta observed across the
-span, and arbitrary counter attributes.  The tree exports to
+span, and arbitrary counter attributes.  A few events become zero-length
+instants under the open span: cache and manifest hits, fault firings,
+and region lifecycle events from the runtime (:attr:`Tracer.events`).
+The tree exports to
 
 * Chrome ``trace_event`` JSON (:meth:`Tracer.to_chrome_trace` /
   :meth:`Tracer.write_chrome_trace`), loadable in ``chrome://tracing``
@@ -11,21 +15,11 @@ span, and arbitrary counter attributes.  The tree exports to
 * an indented text profile (:meth:`Tracer.format_tree`, CLI:
   ``--profile``).
 
-Instrumentation sites call :func:`trace_span` unconditionally::
-
-    with trace_span("phase.call-graph") as span:
-        graph = build_call_graph(...)
-        span.set(edges=graph.num_edges)
-
-With no tracer installed (the default) :func:`trace_span` returns a
-shared, stateless no-op context manager after a single module-global
-read, so always-on instrumentation stays off the profile;
-``benchmarks/bench_trace_overhead.py`` holds the disabled path to < 3%
-of the Datalog join benchmark.  Install a tracer for one run with
-:func:`install_tracer`/:func:`uninstall_tracer` or the :func:`tracing_to`
-context manager.  The registry is process-global and single-threaded by
-design (the tool is a single-threaded pipeline); batch sweeps reuse one
-tracer across units, each unit under its own ``batch.unit`` span.
+Install one for a run with ``observe.observing(Tracer())``.  Batch
+sweeps reuse one tracer across units, each unit under its own
+``batch.unit`` span; pool workers record into a fresh tracer on the
+parent's epoch (:meth:`Tracer.for_worker`) whose roots the parent adopts
+as one lane per worker.
 
 Peak RSS is read from ``resource.getrusage`` (kilobytes on Linux); it is
 monotone, so a span's ``rss_delta_kb`` is the high-water-mark growth
@@ -38,21 +32,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = [
-    "SpanRecord",
-    "Tracer",
-    "trace_span",
-    "trace_instant",
-    "tracing",
-    "current_tracer",
-    "install_tracer",
-    "uninstall_tracer",
-    "tracing_to",
-]
+from repro.obs.observe import Observer, Span
+
+__all__ = ["SpanRecord", "Tracer"]
 
 try:
     import resource
@@ -96,56 +81,7 @@ class SpanRecord:
         return found
 
 
-class _LiveSpan:
-    """Handle for an open span: a context manager with attr setters."""
-
-    __slots__ = ("_tracer", "_record")
-
-    def __init__(self, tracer: "Tracer", record: SpanRecord) -> None:
-        self._tracer = tracer
-        self._record = record
-
-    def __enter__(self) -> "_LiveSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            self._record.attrs.setdefault("error", exc_type.__name__)
-        self._tracer._close(self._record)
-        return False
-
-    def set(self, **attrs: Any) -> None:
-        """Attach attributes (shown in trace args / profile lines)."""
-        self._record.attrs.update(attrs)
-
-    def add(self, key: str, count: int = 1) -> None:
-        """Increment a counter attribute."""
-        attrs = self._record.attrs
-        attrs[key] = attrs.get(key, 0) + count
-
-
-class _NoopSpan:
-    """Shared do-nothing span used while tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-    def set(self, **attrs: Any) -> None:
-        pass
-
-    def add(self, key: str, count: int = 1) -> None:
-        pass
-
-
-_NOOP = _NoopSpan()
-
-
-class Tracer:
+class Tracer(Observer):
     """Collects one run's span tree; see the module docstring.
 
     ``epoch`` pins the tracer's time zero to a given ``perf_counter``
@@ -154,6 +90,9 @@ class Tracer:
     Linux ``perf_counter`` is ``CLOCK_MONOTONIC``, which is shared
     across processes of one boot, so the lanes line up in Perfetto.
     """
+
+    spans = ("*",)
+    events = ("cache.hit", "incremental.serve", "fault", "region.*")
 
     def __init__(
         self,
@@ -174,41 +113,46 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
-    def _now_us(self) -> float:
-        return (time.perf_counter() - self._t0) * 1e6
+    def _attach(self, record: SpanRecord) -> None:
+        if self._stack:
+            self._stack[-1].children.append(record)
+        else:
+            self.roots.append(record)
 
-    def span(self, name: str, **attrs: Any) -> _LiveSpan:
+    def on_open(self, span: Span) -> None:
         record = SpanRecord(
-            name=name,
-            start_us=self._now_us(),
-            attrs=dict(attrs),
+            name=span.name,
+            start_us=(span.start - self._t0) * 1e6,
+            attrs=span.attrs,
             rss_before_kb=_peak_rss_kb(),
         )
-        if self._stack:
-            self._stack[-1].children.append(record)
-        else:
-            self.roots.append(record)
+        self._attach(record)
         self._stack.append(record)
-        return _LiveSpan(self, record)
 
-    def _close(self, record: SpanRecord) -> None:
-        record.end_us = self._now_us()
-        record.rss_after_kb = _peak_rss_kb()
+    def on_close(self, span: Span) -> None:
         # ``with`` unwinds strictly LIFO, including through exceptions.
-        if self._stack and self._stack[-1] is record:
-            self._stack.pop()
+        record = self._stack.pop()
+        record.end_us = (span.end - self._t0) * 1e6
+        record.rss_after_kb = _peak_rss_kb()
 
-    def instant(self, name: str, **attrs: Any) -> None:
+    def on_event(self, kind: str, fields: Dict[str, Any]) -> None:
         """A zero-duration point event under the current span."""
-        now = self._now_us()
+        now = (time.perf_counter() - self._t0) * 1e6
         record = SpanRecord(
-            name=name, start_us=now, end_us=now, attrs=dict(attrs),
+            name=kind, start_us=now, end_us=now, attrs=dict(fields),
             kind="instant",
         )
-        if self._stack:
-            self._stack[-1].children.append(record)
-        else:
-            self.roots.append(record)
+        self._attach(record)
+
+    def for_worker(self) -> "Tracer":
+        """A fresh tracer on this one's timeline, for a pool worker."""
+        return Tracer(epoch=self._t0)
+
+    def drain(self) -> List[SpanRecord]:
+        """Hand over (and forget) the recorded roots -- a worker ships
+        each chunk's spans to the parent this way."""
+        roots, self.roots = self.roots, []
+        return roots
 
     def adopt(self, roots: List[SpanRecord], pid: int) -> None:
         """Merge a worker process's span roots as a separate trace lane.
@@ -327,59 +271,3 @@ class Tracer:
             for root in roots:
                 render(root, 1)
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# The process-global active tracer
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[Tracer] = None
-
-
-def trace_span(name: str, **attrs: Any):
-    """Open a span under the active tracer (no-op when tracing is off)."""
-    tracer = _ACTIVE
-    if tracer is None:
-        return _NOOP
-    return tracer.span(name, **attrs)
-
-
-def trace_instant(name: str, **attrs: Any) -> None:
-    """Record a point event under the active tracer (no-op when off)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.instant(name, **attrs)
-
-
-def tracing() -> bool:
-    """Whether a tracer is installed (for guarding costly attr prep)."""
-    return _ACTIVE is not None
-
-
-def current_tracer() -> Optional[Tracer]:
-    return _ACTIVE
-
-
-def install_tracer(tracer: Tracer) -> Optional[Tracer]:
-    """Install ``tracer`` as the active tracer; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = tracer
-    return previous
-
-
-def uninstall_tracer(previous: Optional[Tracer] = None) -> None:
-    """Restore ``previous`` (default: disable tracing)."""
-    global _ACTIVE
-    _ACTIVE = previous
-
-
-@contextmanager
-def tracing_to(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Install a tracer for the duration of a ``with`` block."""
-    tracer = tracer or Tracer()
-    previous = install_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        uninstall_tracer(previous)

@@ -40,7 +40,7 @@ from repro.ir import (
     Temp,
     VarOp,
 )
-from repro.obs.trace import trace_span
+from repro.obs import observe
 from repro.pointer.contexts import ContextNumbering, number_contexts
 from repro.util.budget import BudgetMeter
 
@@ -283,7 +283,7 @@ class _Engine:
                     self._returns.setdefault(name, []).append(instr.src)
 
         iterations = 0
-        with trace_span("pointer.solve") as span:
+        with observe.span("pointer.solve") as span:
             while True:
                 iterations += 1
                 self._changed = False

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.bdd import BDD, DomainSpace
 from repro.callgraph import CallGraph
-from repro.obs.trace import trace_span
+from repro.obs import observe
 from repro.util.budget import BudgetMeter
 from repro.util.graph import condensation
 
@@ -124,7 +124,7 @@ def number_contexts(
     folds overflowing path numbers and keeps going), the budget raises a
     structured ``BudgetExceeded`` so the driver can degrade precision.
     """
-    with trace_span(
+    with observe.span(
         "contexts.number", sensitive=context_sensitive
     ) as span:
         numbering = _number_contexts(

@@ -5,9 +5,10 @@ the observability stack.  :class:`~repro.runtime.pool.RegionRuntime`
 calls :meth:`RegionTracer.emit` at every mutating entry point; the
 tracer keeps the events in memory (for the trace-replay simulator),
 optionally appends them to a PR 5 :class:`~repro.obs.events.EventLog`
-JSONL file (``--trace-out``), and mirrors lifecycle events onto the
-Chrome-trace instant lane so runtime events render alongside analysis
-spans in ``chrome://tracing``.
+JSONL file (``--trace-out``), and publishes lifecycle events on the one
+observation path (:mod:`repro.obs.observe`), where the span tracer turns
+them into Chrome-trace instants that render alongside analysis spans in
+``chrome://tracing``.
 
 Event kinds (all prefixed ``region.``):
 
@@ -24,9 +25,9 @@ Event kinds (all prefixed ``region.``):
 * ``reclaimed`` -- the whole delete/clear request finished;
 * ``fault`` -- the runtime logged a :class:`~repro.runtime.pool.Fault`.
 
-``region.access`` is deliberately kept off the Chrome lane: accesses
-dominate event volume and the instant lane is for lifecycle shape, not
-per-access firehose.  The JSONL stream gets everything.
+Only lifecycle kinds are published: accesses, allocations and frees
+dominate event volume, and the instant lane is for lifecycle shape, not
+a per-access firehose.  The JSONL stream gets everything.
 
 Trace files start with a ``trace.open`` header carrying
 :data:`TRACE_SCHEMA_VERSION`; bump it when the record shape changes.
@@ -37,15 +38,15 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.obs.trace import trace_instant
+from repro.obs import observe
 
 __all__ = ["RegionTracer", "TRACE_SCHEMA_VERSION", "load_trace"]
 
 #: Bump when the event record shape changes (replay keys on this).
 TRACE_SCHEMA_VERSION = 1
 
-#: Kinds mirrored to the Chrome-trace instant lane (lifecycle only).
-_CHROME_KINDS = frozenset(
+#: Kinds published to the installed observers (lifecycle only).
+_LIFECYCLE_KINDS = frozenset(
     {
         "region.create",
         "region.subregion",
@@ -78,13 +79,8 @@ class RegionTracer:
             self.records.append(record)
         if self.log is not None:
             self.log.emit(kind, **fields)
-        if kind in _CHROME_KINDS:
-            # "name" is trace_instant's positional; remap the region name.
-            attrs = {
-                ("region_name" if key == "name" else key): value
-                for key, value in fields.items()
-            }
-            trace_instant(kind, **attrs)
+        if kind in _LIFECYCLE_KINDS:
+            observe.event(kind, **fields)
 
     def __len__(self) -> int:
         return len(self.records)

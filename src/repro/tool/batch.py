@@ -35,7 +35,8 @@ The dispatch is built so parallelism *pays* on paper-scale corpora:
 * the per-batch invariant state (:class:`AnalysisOptions`, the
   :class:`ResourceBudget` template, the
   :class:`~repro.callgraph.ImplicitCallRegistry`, the fault-spec
-  snapshot, and the tracer/event-log epochs) crosses the pool boundary
+  snapshot, and the worker counterparts of the installed observers)
+  crosses the pool boundary
   **once per worker** through the pool ``initializer``, not once per
   unit -- a task pickles only ``(index, unit)`` pairs;
 * units are dispatched in **contiguous chunks** so small units amortize
@@ -120,34 +121,13 @@ from repro.interfaces import (
     rc_regions_interface,
 )
 from repro.lang.errors import CompileError
-from repro.obs.events import (
-    EventLog,
-    current_event_log,
-    emit_event,
-    install_event_log,
-    uninstall_event_log,
-)
+from repro.obs import observe
 from repro.obs.history import WarningDiff, merge_diffs
-from repro.obs.live import bus_event, current_bus
-from repro.obs.metrics import (
-    MetricsRegistry,
-    aggregate_metrics,
-    format_metrics,
-    mem_profile_enabled,
-    set_mem_profile,
-)
+from repro.obs.live import TelemetryBus
+from repro.obs.metrics import MetricsRegistry, aggregate_metrics, format_metrics
 from repro.obs.validate import LABELS as _VALIDATION_LABELS
 from repro.obs.validate import VALIDATION_SCHEMA_VERSION, ValidationResult
-from repro.obs.trace import (
-    SpanRecord,
-    Tracer,
-    _peak_rss_kb,
-    current_tracer,
-    install_tracer,
-    trace_instant,
-    trace_span,
-    uninstall_tracer,
-)
+from repro.obs.trace import SpanRecord, Tracer, _peak_rss_kb
 from repro.pointer import AnalysisOptions
 from repro.tool.cache import AnalysisCache
 from repro.tool.incremental import IncrementalUnitSession
@@ -647,7 +627,7 @@ def _analyze_unit(
     incremental_cache: Optional[AnalysisCache] = None,
     identity: Optional[str] = None,
 ) -> UnitOutcome:
-    with trace_span("batch.unit", unit=unit.name) as span:
+    with observe.span("batch.unit", unit=unit.name) as span:
         started = time.process_time()
         outcome = _analyze_unit_isolated(
             unit,
@@ -710,8 +690,7 @@ def _analyze_unit_isolated(
                     # False so the parent still persists it under the
                     # *current* source's exact cache key.
                     outcome.incremental_mode = "served"
-                    trace_instant("batch.manifest-hit", unit=unit.name)
-                    emit_event(
+                    observe.event(
                         "incremental.serve", unit=unit.name, key=identity
                     )
                     return outcome
@@ -838,7 +817,7 @@ def _cache_lookup(
         return None
     payload = cache.lookup(key)
     if payload is None:
-        emit_event("cache.miss", unit=unit.name, key=key)
+        observe.event("cache.miss", unit=unit.name, key=key)
         return None
     try:
         outcome = UnitOutcome.from_cache_payload(payload)
@@ -847,15 +826,14 @@ def _cache_lookup(
         # a corrupt entry -- fall back to analysis.
         cache.hits -= 1
         cache.misses += 1
-        emit_event("cache.miss", unit=unit.name, key=key, corrupt=True)
+        observe.event("cache.miss", unit=unit.name, key=key, corrupt=True)
         return None
     if outcome.unit != unit.name or not outcome.ok:
         cache.hits -= 1
         cache.misses += 1
-        emit_event("cache.miss", unit=unit.name, key=key, mismatch=True)
+        observe.event("cache.miss", unit=unit.name, key=key, mismatch=True)
         return None
-    trace_instant("batch.cache-hit", unit=unit.name)
-    emit_event("cache.hit", unit=unit.name, key=key)
+    observe.event("cache.hit", unit=unit.name, key=key)
     return outcome
 
 
@@ -920,8 +898,8 @@ class _WorkerConfig:
     needs but that never varies within one sweep.  Shipped to each pool
     worker exactly once, through the pool ``initializer`` -- the old
     dispatch re-pickled all of it (options, budget, registry, fault
-    specs, epochs) into every per-unit task, which is pure overhead on
-    corpora of hundreds of units.
+    specs, observers) into every per-unit task, which is pure overhead
+    on corpora of hundreds of units.
     """
 
     options: Optional[AnalysisOptions]
@@ -932,16 +910,12 @@ class _WorkerConfig:
     registry: Optional[ImplicitCallRegistry]
     max_retries: int
     fault_specs: List[faults.FaultSpec]
-    #: Parent tracer epoch (None: tracing off).
-    trace_epoch: Optional[float]
-    #: Parent event-log path/epoch (None: event logging off).
-    events_path: Optional[str]
-    events_epoch: Optional[float]
+    #: Everything the worker observes through, installed in one step by
+    #: :func:`_worker_init`: the worker counterparts of the parent's
+    #: observers (:func:`repro.obs.observe.for_workers`) plus, under
+    #: supervision, the :class:`_WorkerJournal` writer.
+    observers: Tuple[observe.Observer, ...]
     keep_going: bool
-    #: The supervisor's run journal (None: supervision off) -- workers
-    #: heartbeat ``unit.start``, append completed ``unit.done`` payloads,
-    #: and record destructive fault firings into it.
-    journal_path: Optional[str] = None
     #: Dynamic validation (``--validate``): run each successful unit's
     #: entry point under the traced interpreter and attach the
     #: validation payload to its outcome.
@@ -954,15 +928,6 @@ class _WorkerConfig:
     #: state rides back on the outcome for the parent to persist.
     incremental: bool = False
     cache_root: Optional[str] = None
-    #: Parent-generated run id (None when the caller did not thread one).
-    run_id: Optional[str] = None
-    #: Live telemetry (``--live``/``--metrics-port``): workers piggyback
-    #: one small ``telemetry`` record per completed unit on the journal
-    #: heartbeat channel (rss/cpu deltas for the parent's fleet view).
-    telemetry: bool = False
-    #: Per-phase tracemalloc peaks (``--mem-profile``), armed per worker
-    #: process via :func:`repro.obs.metrics.set_mem_profile`.
-    mem_profile: bool = False
 
 
 def _config_validate_key(
@@ -981,60 +946,70 @@ def _config_validate_key(
 #: This worker's copy of the batch config, set by :func:`_worker_init`.
 _WORKER_CONFIG: Optional[_WorkerConfig] = None
 
-#: The worker's journal append handle, opened lazily per process (same
-#: one-line-per-write discipline as the event log, so parent and worker
-#: appends interleave at line granularity).
-_WORKER_JOURNAL = None
+class _WorkerJournal(observe.Observer):
+    """A pool worker's side of the supervisor's run journal.
 
-
-def _worker_journal_append(payload: Dict[str, Any]) -> None:
-    global _WORKER_JOURNAL
-    assert _WORKER_CONFIG is not None and _WORKER_CONFIG.journal_path
-    if _WORKER_JOURNAL is None or _WORKER_JOURNAL.closed:
-        _WORKER_JOURNAL = open(
-            _WORKER_CONFIG.journal_path, "a", buffering=1
-        )
-    _WORKER_JOURNAL.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _worker_fault_hook(
-    spec: faults.FaultSpec, unit: Optional[str]
-) -> None:
-    """Journal a destructive fault firing *before* it executes.
-
-    A ``kill``/``hang`` takes the worker down with it, so this journal
-    line is the only record the parent ever gets that the armed
-    ``times=`` count was consumed; the supervisor replays it against its
-    master snapshot (see
-    :meth:`repro.tool.supervise.BatchSupervisor._consume_fault`).
+    Appends the chunk loop's ``unit.start``/``unit.done`` heartbeats
+    and, with ``telemetry`` (a live bus in the parent), one small
+    ``telemetry`` record per completed unit: rss/cpu readings riding the
+    heartbeat channel the supervisor already tails, no second IPC path.
+    As an observer it turns each ``kill``/``hang`` ``fault`` event into a
+    ``fault.fired`` record *before* the action runs: such a fault takes
+    the worker down with it, so this line is the only record the parent
+    ever gets that the armed ``times=`` count was consumed (see
+    :meth:`repro.tool.supervise.BatchSupervisor._consume_fault`).  Each
+    record is one short O_APPEND write, like the event log's, so parent
+    and worker lines interleave at line granularity.
     """
-    if spec.action not in ("kill", "hang"):
-        return
-    _worker_journal_append(
-        {
-            "kind": "fault.fired",
-            "point": spec.point,
-            "action": spec.action,
-            "unit": unit,
-            "pid": os.getpid(),
-            "t": time.time(),
-        }
-    )
 
-#: The worker's event log, cached per process: a pool worker handles
-#: many chunks, and reopening the log per chunk would restart its seq
-#: counter -- seq must stay monotonic per *process* for the global
-#: (t_ms, pid, seq) ordering to hold.
-_WORKER_EVENT_LOG: Optional[EventLog] = None
+    events = ("fault",)
 
+    def __init__(
+        self, path: str, telemetry: bool = False, run_id: Optional[str] = None
+    ) -> None:
+        self.path = path
+        self.telemetry = telemetry
+        self.run_id = run_id
+        self._handle = None
 
-def _worker_event_log(path: str, epoch: Optional[float]) -> EventLog:
-    global _WORKER_EVENT_LOG
-    if _WORKER_EVENT_LOG is None or _WORKER_EVENT_LOG.path != path:
-        if _WORKER_EVENT_LOG is not None:
-            _WORKER_EVENT_LOG.close()
-        _WORKER_EVENT_LOG = EventLog(path, epoch=epoch, append=True)
-    return _WORKER_EVENT_LOG
+    def append(self, kind: str, **fields: Any) -> None:
+        if self._handle is None:
+            self._handle = open(self.path, "a", buffering=1)
+        record = {"kind": kind, **fields, "pid": os.getpid(), "t": time.time()}
+        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def unit_done(
+        self,
+        index: int,
+        unit: BatchUnit,
+        key: Optional[str],
+        outcome: UnitOutcome,
+    ) -> None:
+        self.append(
+            "unit.done",
+            index=index,
+            unit=unit.name,
+            key=key,
+            outcome=outcome.to_cache_payload(),
+        )
+        if self.telemetry:
+            self.append(
+                "telemetry",
+                index=index,
+                unit=unit.name,
+                rss_kb=_peak_rss_kb(),
+                cpu_s=round(time.process_time(), 6),
+                run=self.run_id,
+            )
+
+    def on_event(self, kind: str, fields: Dict[str, Any]) -> None:
+        if fields["action"] in ("kill", "hang"):
+            self.append(
+                "fault.fired",
+                point=fields["point"],
+                action=fields["action"],
+                unit=fields["unit"] or None,
+            )
 
 
 def _worker_init(config: _WorkerConfig) -> None:
@@ -1049,10 +1024,8 @@ def _worker_init(config: _WorkerConfig) -> None:
     to run first.  None of that inherited state is garbage the worker
     could free, so ``gc.freeze`` moves it to the permanent generation.
 
-    Also opens the parent's event log (appending on the parent's
-    timeline; each record is one short write, so parent and worker
-    lines interleave cleanly) and drops any tracer or event log
-    inherited through ``fork`` when the parent has them disabled.
+    Also installs the worker's observers in one step, which drops
+    whatever observers the worker inherited through ``fork``.
     """
     global _WORKER_CONFIG
     _WORKER_CONFIG = config
@@ -1066,19 +1039,7 @@ def _worker_init(config: _WorkerConfig) -> None:
         _signal_module.signal(_signal_module.SIGTERM, _signal_module.SIG_DFL)
     except (ValueError, OSError):
         pass
-    if config.events_path is not None:
-        install_event_log(
-            _worker_event_log(config.events_path, config.events_epoch)
-        )
-    else:
-        uninstall_event_log(None)  # drop any log inherited through fork
-    if config.trace_epoch is None:
-        uninstall_tracer(None)  # drop any tracer inherited through fork
-    if config.journal_path is not None:
-        faults.set_fire_hook(_worker_fault_hook)
-    else:
-        faults.set_fire_hook(None)  # drop a hook inherited through fork
-    set_mem_profile(config.mem_profile)
+    observe.install(*config.observers)
 
 
 #: One dispatched task: a contiguous run of ``(index, unit, key)``
@@ -1094,13 +1055,12 @@ def _worker_analyze_chunk(
 
     Re-arms the fault-spec snapshot from the worker-local config (one
     dispatch = one chunk, preserving the documented per-dispatch scope
-    of bare ``times=`` specs) and, when the parent is tracing, records
-    the chunk under a fresh tracer pinned to the parent's epoch.  Ships
-    back the slimmed outcomes, the recorded span roots, and this
-    worker's pid.  Under ``keep_going=False`` the rest of the chunk is
-    abandoned after a hard failure -- the parent would relabel those
-    units ``skipped`` anyway, exactly as a serial run never reaches
-    them.
+    of bare ``times=`` specs).  Ships back the slimmed outcomes, the
+    span roots the worker's tracer recorded for this chunk (when the
+    parent is tracing), and this worker's pid.  Under
+    ``keep_going=False`` the rest of the chunk is abandoned after a hard
+    failure -- the parent would relabel those units ``skipped`` anyway,
+    exactly as a serial run never reaches them.
 
     Under supervision each unit is bracketed by journal heartbeats: a
     ``unit.start`` before analysis (the parent's watchdog clock and, if
@@ -1110,33 +1070,18 @@ def _worker_analyze_chunk(
     """
     assert _WORKER_CONFIG is not None, "worker used without initializer"
     config = _WORKER_CONFIG
-    journaling = config.journal_path is not None
+    journal = observe.active(_WorkerJournal)
     incremental_cache: Optional[AnalysisCache] = None
     if config.incremental and config.cache_root is not None:
         # Worker-local handle on the shared cache directory; counters on
         # it are throwaway (the parent owns the reported counters).
         incremental_cache = AnalysisCache(config.cache_root)
     faults.install(config.fault_specs)
-    tracer = (
-        Tracer(epoch=config.trace_epoch)
-        if config.trace_epoch is not None
-        else None
-    )
-    if tracer is not None:
-        install_tracer(tracer)
     results: List[Tuple[int, UnitOutcome]] = []
     try:
         for index, unit, key in chunk:
-            if journaling:
-                _worker_journal_append(
-                    {
-                        "kind": "unit.start",
-                        "index": index,
-                        "unit": unit.name,
-                        "pid": os.getpid(),
-                        "t": time.time(),
-                    }
-                )
+            if journal is not None:
+                journal.append("unit.start", index=index, unit=unit.name)
             identity: Optional[str] = None
             if incremental_cache is not None:
                 identity = _unit_identity_key(
@@ -1167,42 +1112,14 @@ def _worker_analyze_chunk(
             outcome.report = None  # the full report does not cross the pool
             outcome.worker_pid = os.getpid()
             results.append((index, outcome))
-            if journaling:
-                _worker_journal_append(
-                    {
-                        "kind": "unit.done",
-                        "index": index,
-                        "unit": unit.name,
-                        "key": key,
-                        "pid": os.getpid(),
-                        "t": time.time(),
-                        "outcome": outcome.to_cache_payload(),
-                    }
-                )
-                if config.telemetry:
-                    # The live-telemetry piggyback: one extra journal
-                    # line per completed unit, riding the heartbeat
-                    # channel the supervisor already tails -- no second
-                    # IPC path, no cost when telemetry is off.
-                    _worker_journal_append(
-                        {
-                            "kind": "telemetry",
-                            "index": index,
-                            "unit": unit.name,
-                            "pid": os.getpid(),
-                            "t": time.time(),
-                            "rss_kb": _peak_rss_kb(),
-                            "cpu_s": round(time.process_time(), 6),
-                            "run": config.run_id,
-                        }
-                    )
+            if journal is not None:
+                journal.unit_done(index, unit, key, outcome)
             if not config.keep_going and outcome.exit_code in _HARD_FAILURES:
                 break
     finally:
-        if tracer is not None:
-            uninstall_tracer(None)
         faults.clear()
-    roots = tracer.roots if tracer is not None else []
+    tracer = observe.active(Tracer)
+    roots = tracer.drain() if tracer is not None else []
     return results, roots, os.getpid()
 
 
@@ -1316,20 +1233,30 @@ def _run_batch_parallel(
     for index, unit in enumerate(units):
         if resumed_slots and index in resumed_slots:
             slots[index] = resumed_slots[index]
-            bus_event("unit.done", index=index, outcome=slots[index])
+            observe.event("unit.done", index=index, outcome=slots[index])
             continue
         hit = _cache_lookup(cache, cache_keys[index], unit)
         if hit is not None:
             slots[index] = hit
-            bus_event("unit.done", index=index, outcome=hit)
+            observe.event("unit.done", index=index, outcome=hit)
         else:
             to_run.append(index)
     if not to_run:
         return slots, {}, False
 
-    tracer = current_tracer()
-    event_log = current_event_log()
     keys = journal_keys if journal_keys is not None else cache_keys
+
+    observers = observe.for_workers()
+    if journal is not None:
+        # Worker telemetry piggybacks on the journal, so it needs both a
+        # live bus parent-side and a journal to ride on.
+        observers += (
+            _WorkerJournal(
+                journal.path,
+                telemetry=observe.active(TelemetryBus) is not None,
+                run_id=run_id,
+            ),
+        )
 
     def make_config(fault_specs: List[faults.FaultSpec]) -> _WorkerConfig:
         return _WorkerConfig(
@@ -1341,26 +1268,14 @@ def _run_batch_parallel(
             registry=registry,
             max_retries=max_retries,
             fault_specs=fault_specs,
-            trace_epoch=tracer.epoch if tracer is not None else None,
-            events_path=event_log.path if event_log is not None else None,
-            events_epoch=event_log.epoch if event_log is not None else None,
+            observers=observers,
             keep_going=keep_going,
-            journal_path=journal.path if journal is not None else None,
             validate=validate,
             validate_steps=validate_steps,
             trace_dir=trace_dir,
             incremental=incremental,
             cache_root=cache.root if cache is not None else None,
-            run_id=run_id,
-            # Worker telemetry piggybacks on the journal, so it needs
-            # both a live bus parent-side and a journal to ride on.
-            telemetry=current_bus() is not None and journal is not None,
-            mem_profile=mem_profile_enabled(),
         )
-
-    def adopt(roots: List[SpanRecord], pid: int) -> None:
-        if tracer is not None and roots:
-            tracer.adopt(roots, pid=pid)
 
     supervisor = BatchSupervisor(
         units=units,
@@ -1379,7 +1294,6 @@ def _run_batch_parallel(
         chunk_fn=lambda indices, workers: _chunked(
             indices, workers, chunk_size
         ),
-        adopt=adopt,
         pool_failure=_pool_failure_outcome,
     )
     for index, outcome in supervisor.run().items():
@@ -1624,7 +1538,7 @@ def _run_batch_inner(
     identity_keys: Optional[List[Optional[str]]] = None,
     run_id: Optional[str] = None,
 ) -> BatchResult:
-    bus_event(
+    observe.event(
         "batch.start",
         total=len(pending),
         sizes=[len(unit.source) for unit in pending],
@@ -1663,7 +1577,7 @@ def _run_batch_inner(
             except (KeyError, TypeError, ValueError):
                 continue
             resumed_slots[index] = outcome
-            emit_event("journal.replay", unit=unit.name, key=key)
+            observe.event("journal.replay", unit=unit.name, key=key)
 
     result = BatchResult()
     supervision: Dict[str, int] = {}
@@ -1784,7 +1698,7 @@ def _run_batch_inner(
                                 }
                             )
                     result.outcomes.append(outcome)
-                    bus_event("unit.done", index=index, outcome=outcome)
+                    observe.event("unit.done", index=index, outcome=outcome)
                     if (
                         not keep_going
                         and outcome.exit_code in _HARD_FAILURES
@@ -1796,7 +1710,7 @@ def _run_batch_inner(
             # Satellite fix: everything completed before Ctrl-C used to
             # be silently discarded in the serial path.
             interrupted = True
-            emit_event(
+            observe.event(
                 "batch.interrupted",
                 completed=len(result.outcomes),
                 total=len(pending),
@@ -1813,7 +1727,7 @@ def _run_batch_inner(
     if cache is not None:
         result.cache_counters = cache.counters()
     for outcome in result.outcomes:
-        emit_event(
+        observe.event(
             "batch.unit",
             unit=outcome.unit,
             status=outcome.status,
@@ -1821,5 +1735,5 @@ def _run_batch_inner(
             attempts=outcome.attempts,
             cached=outcome.cached,
         )
-    bus_event("batch.end", interrupted=interrupted)
+    observe.event("batch.end", interrupted=interrupted)
     return result

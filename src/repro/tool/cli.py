@@ -43,7 +43,8 @@ from typing import Any, Dict, List, Optional
 from repro import __version__
 from repro.interfaces import apr_pools_interface, rc_regions_interface
 from repro.lang.errors import CompileError
-from repro.obs.events import EventLog, install_event_log, uninstall_event_log
+from repro.obs import observe
+from repro.obs.events import EventLog
 from repro.obs.export import MetricsServer, write_metrics_file
 from repro.obs.history import (
     WarningDiff,
@@ -55,21 +56,10 @@ from repro.obs.history import (
     save_baseline,
 )
 from repro.obs.html import write_html_report
-from repro.obs.live import (
-    LiveView,
-    TelemetryBus,
-    install_bus,
-    new_run_id,
-    uninstall_bus,
-)
-from repro.obs.metrics import format_metrics, set_mem_profile
+from repro.obs.live import LiveView, TelemetryBus, new_run_id
+from repro.obs.metrics import MemProfile, format_metrics
 from repro.obs.registry import RunRecord, RunRegistry
-from repro.obs.trace import (
-    Tracer,
-    current_tracer,
-    install_tracer,
-    uninstall_tracer,
-)
+from repro.obs.trace import Tracer
 from repro.pointer import AnalysisOptions
 from repro.tool.batch import BatchUnit, run_batch
 from repro.tool.regionwiz import RegionWizReport, run_regionwiz
@@ -684,7 +674,7 @@ def _incremental_summary(session) -> str:
 
 def _profile_tree() -> Optional[str]:
     """The active tracer's span tree, for the HTML report's profile pane."""
-    tracer = current_tracer()
+    tracer = observe.active(Tracer)
     if tracer is None or not tracer.roots:
         return None
     return tracer.format_tree()
@@ -802,19 +792,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"regionwiz: {error}", file=sys.stderr)
             return 2
     bus: Optional[TelemetryBus] = None
-    previous_bus: Optional[TelemetryBus] = None
     view: Optional[LiveView] = None
     server: Optional[MetricsServer] = None
     tracer: Optional[Tracer] = None
-    previous: Optional[Tracer] = None
     event_log: Optional[EventLog] = None
-    previous_log: Optional[EventLog] = None
-    bus_installed = False
+    observers: List[observe.Observer] = []
     try:
         if args.live or args.metrics_port is not None or args.metrics_out:
             bus = TelemetryBus(run_id=args.run_id, jobs=args.jobs)
-            previous_bus = install_bus(bus)
-            bus_installed = True
+            observers.append(bus)
             if args.live:
                 if args.batch:
                     view = LiveView(bus)
@@ -842,11 +828,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "/metrics (and /healthz)",
                 file=sys.stderr,
             )
-        set_mem_profile(args.mem_profile)
         # --html-report embeds the profile tree, so it wants a tracer too.
         if args.trace or args.profile or args.html_report:
+            # The files the tracer feeds are claimed now, like the event
+            # log's, so a bad path fails before analysis starts.
+            for path in (args.trace, args.html_report):
+                if path and not _claim_output(path):
+                    return 2
             tracer = Tracer(run_id=args.run_id)
-            previous = install_tracer(tracer)
+            observers.append(tracer)
         if args.events:
             try:
                 event_log = EventLog(args.events, run_id=args.run_id)
@@ -857,30 +847,46 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            previous_log = install_event_log(event_log)
-        code = _run(args)
+            observers.append(event_log)
+        if args.mem_profile:
+            observers.append(MemProfile())
+        with observe.observing(*observers):
+            code = _run(args)
         return _finish_telemetry(
             args, code, bus, registry_store, wall_start, cpu_start
         )
     finally:
         if event_log is not None:
-            uninstall_event_log(previous_log)
             event_log.close()
         if tracer is not None:
-            uninstall_tracer(previous)
             if args.trace:
                 tracer.write_chrome_trace(args.trace)
             if args.profile:
                 print(tracer.format_tree(), file=sys.stderr)
-        set_mem_profile(False)
         if view is not None:
             view.close()
-        if bus_installed:
-            uninstall_bus(previous_bus)
         if server is not None:
             server.close()
         if registry_store is not None:
             registry_store.close()
+
+
+def _claim_output(path: str, directory: bool = False) -> bool:
+    """Create an output file (or directory) before analysis starts.
+
+    A path that cannot be written is reported on one line and the
+    caller exits 2, instead of the run failing after the analysis with
+    a traceback.
+    """
+    try:
+        if directory:
+            os.makedirs(path, exist_ok=True)
+        else:
+            open(path, "a").close()
+    except OSError as error:
+        print(f"regionwiz: cannot write {path}: {error}", file=sys.stderr)
+        return False
+    return True
 
 
 def _parse_query(spec: str) -> "tuple[str, int]":
@@ -933,6 +939,15 @@ def _run(args: argparse.Namespace) -> int:
                 f"regionwiz: --query cannot be combined with {conflict}",
                 file=sys.stderr,
             )
+            return 2
+    cache_dir = None if args.no_cache else args.cache_dir
+    outputs = [
+        (args.trace_out, True),
+        (args.journal if args.batch else None, False),
+        (cache_dir if args.batch or args.incremental else None, True),
+    ]
+    for path, directory in outputs:
+        if path and not _claim_output(path, directory):
             return 2
     try:
         if args.batch:

@@ -61,7 +61,7 @@ from repro.lang import CompileError, parse
 from repro.lang.errors import SourceLocation
 from repro.lang.types import CType
 from repro.lang import nodes
-from repro.obs.events import emit_event
+from repro.obs import observe
 from repro.obs.metrics import MetricsRegistry
 from repro.pointer import AbstractObject, PointerAnalysisResult
 from repro.tool.cache import AnalysisCache
@@ -389,7 +389,7 @@ class IncrementalUnitSession:
             except (KeyError, TypeError, AttributeError):
                 old = None
         self.diff = self.manifest.diff(old)
-        emit_event(
+        observe.event(
             "incremental.probe",
             identity=self.identity,
             clean=self.diff.clean,
@@ -577,7 +577,7 @@ class IncrementalUnitSession:
 
         self.mode = ustats.mode
         self.pending = self._canonical_payload(keyed, keyed_snapshot)
-        emit_event(
+        observe.event(
             "incremental.update",
             identity=self.identity,
             mode=ustats.mode,
@@ -621,7 +621,7 @@ class IncrementalUnitSession:
         )
         self.mode = "cold"
         self.pending = self._canonical_payload(keyed, keyed_snapshot)
-        emit_event(
+        observe.event(
             "incremental.cold",
             identity=self.identity,
             reason=self.fallback_reason or "no-state",
@@ -741,7 +741,7 @@ class IncrementalUnitSession:
         self.cache.evict_state(self.identity)
         self.state = None
         self.fallback_reason = reason
-        emit_event(
+        observe.event(
             "incremental.fallback", identity=self.identity, reason=reason
         )
 

@@ -65,10 +65,9 @@ from repro.datalog import SolverStats, UpdateStats
 from repro.interfaces import RegionInterface, apr_pools_interface
 from repro.ir import IRModule, lower
 from repro.lang import SemaResult, SourceLocation, analyze, parse
-from repro.obs.events import emit_event
+from repro.obs import observe
 from repro.obs.fingerprint import warning_fingerprint
-from repro.obs.metrics import MetricsRegistry, mem_profile_enabled
-from repro.obs.trace import trace_span
+from repro.obs.metrics import MetricsRegistry
 from repro.pointer import (
     AnalysisOptions,
     ContextNumbering,
@@ -308,48 +307,26 @@ def _describe(module: IRModule, ipair: IPair) -> str:
     )
 
 
-def _mem_reset() -> None:
-    """Start/reset tracemalloc peak tracking for one pipeline phase.
-
-    No-op unless ``--mem-profile`` armed the process-wide flag: the
-    disabled path is one boolean read per phase, keeping the same <3%
-    discipline as tracing.  tracemalloc itself is *not* free -- that is
-    exactly why the peaks hide behind an explicit opt-in.
-    """
-    if not mem_profile_enabled():
-        return
-    import tracemalloc
-
-    if not tracemalloc.is_tracing():
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-
-
-def _mem_peak(times: PhaseTimes, phase: str) -> None:
-    """Record the tracemalloc peak since the last :func:`_mem_reset`."""
-    if not mem_profile_enabled():
-        return
-    import tracemalloc
-
-    if tracemalloc.is_tracing():
-        times.mem_peaks[phase] = tracemalloc.get_traced_memory()[1]
-
-
 @contextmanager
-def _phase_events(phase: str, unit: str):
-    """Bracket one pipeline phase with ``phase.start``/``phase.end``
-    records on the active event log (no-op when ``--events`` is off)."""
-    emit_event("phase.start", phase=phase, unit=unit)
+def _phase(
+    times: PhaseTimes, phase: str, unit: str, meter: Optional[BudgetMeter]
+):
+    """Run one pipeline phase under its ``phase.*`` span.
+
+    Fires the phase's fault-injection point inside the span, records the
+    phase's wall time in ``times`` and, when a memory profiler observed
+    the span, its tracemalloc peak.  The ``phase.start``/``phase.end``
+    event records are the event log's view of the same span.
+    """
     start = time.perf_counter()
-    try:
-        yield
-    finally:
-        emit_event(
-            "phase.end",
-            phase=phase,
-            unit=unit,
-            duration_ms=round((time.perf_counter() - start) * 1000.0, 3),
-        )
+    with observe.span("phase." + phase, unit=unit) as span:
+        faults.fire(phase, unit=unit, meter=meter)
+        yield span
+    field_name = phase.replace("-", "_")
+    setattr(times, field_name, time.perf_counter() - start)
+    peak = span.attrs.get("peak_mem_bytes")
+    if peak is not None:
+        times.mem_peaks[field_name] = peak
 
 
 def _run_pipeline(
@@ -370,37 +347,20 @@ def _run_pipeline(
     times = PhaseTimes()
 
     # Frontend (the paper gets IR from Phoenix; we parse and lower).
-    _mem_reset()
-    start = time.perf_counter()
-    with trace_span("phase.frontend") as span, _phase_events("frontend", name):
-        faults.fire("frontend", unit=name, meter=meter)
+    with _phase(times, "frontend", name, meter) as span:
         sema = analyze(parse(source, filename))
         module = lower(sema)
         span.set(functions=len(module.functions))
-    times.frontend = time.perf_counter() - start
-    _mem_peak(times, "frontend")
 
     # Phase 1: call graph construction.
-    _mem_reset()
-    start = time.perf_counter()
-    with trace_span("phase.call-graph") as span, _phase_events(
-        "call-graph", name
-    ):
-        faults.fire("call-graph", unit=name, meter=meter)
+    with _phase(times, "call-graph", name, meter) as span:
         graph = build_call_graph(
             module, entry=entry, registry=registry, meter=meter
         )
         span.set(reachable=len(graph.reachable), edges=graph.num_edges)
-    times.call_graph = time.perf_counter() - start
-    _mem_peak(times, "call_graph")
 
     # Phase 2: context cloning.
-    _mem_reset()
-    start = time.perf_counter()
-    with trace_span("phase.context-cloning") as span, _phase_events(
-        "context-cloning", name
-    ):
-        faults.fire("context-cloning", unit=name, meter=meter)
+    with _phase(times, "context-cloning", name, meter) as span:
         numbering = number_contexts(
             graph,
             context_sensitive=options.context_sensitive,
@@ -408,16 +368,9 @@ def _run_pipeline(
             meter=meter,
         )
         span.set(contexts=numbering.total_contexts)
-    times.context_cloning = time.perf_counter() - start
-    _mem_peak(times, "context_cloning")
 
     # Phase 3: conditional correlation computation.
-    _mem_reset()
-    start = time.perf_counter()
-    with trace_span("phase.correlation") as span, _phase_events(
-        "correlation", name
-    ):
-        faults.fire("correlation", unit=name, meter=meter)
+    with _phase(times, "correlation", name, meter) as span:
         analysis = analyze_pointers(graph, interface, options, numbering, meter)
         if query is not None:
             # Demand transformation: only the accesses anchored at the
@@ -453,16 +406,9 @@ def _run_pipeline(
             objects=len(analysis.objects),
             object_pairs=consistency.o_pair_count,
         )
-    times.correlation = time.perf_counter() - start
-    _mem_peak(times, "correlation")
 
     # Phase 4: post processing.
-    _mem_reset()
-    start = time.perf_counter()
-    with trace_span("phase.post-processing") as span, _phase_events(
-        "post-processing", name
-    ):
-        faults.fire("post-processing", unit=name, meter=meter)
+    with _phase(times, "post-processing", name, meter) as span:
         if meter is not None:
             meter.checkpoint("post-processing")
         ranked = rank_warnings(consistency)
@@ -492,7 +438,7 @@ def _run_pipeline(
                 warning,
                 fingerprint=warning_fingerprint(warning, interface.name),
             )
-            emit_event(
+            observe.event(
                 "warning",
                 unit=name,
                 fingerprint=warning.fingerprint,
@@ -504,8 +450,6 @@ def _run_pipeline(
             i_pairs=ranked.i_pair_count,
             high=ranked.high_count,
         )
-    times.post_processing = time.perf_counter() - start
-    _mem_peak(times, "post_processing")
 
     return RegionWizReport(
         sema=sema,
@@ -628,7 +572,7 @@ def run_regionwiz(
     for rung, rung_options in candidates:
         meter = budget.start() if budget is not None else None
         try:
-            with trace_span("ladder.attempt", precision=rung, unit=name):
+            with observe.span("ladder.attempt", precision=rung, unit=name):
                 report = _run_pipeline(
                     source,
                     filename,
@@ -644,7 +588,7 @@ def run_regionwiz(
                     query=query,
                 )
         except BudgetExceeded as error:
-            emit_event(
+            observe.event(
                 "ladder.degrade",
                 unit=name,
                 precision=rung,

@@ -47,8 +47,9 @@ subclass, so hard enforcement folds into the existing budget contract.
 
 **Fault accounting.**  ``kill``/``hang`` faults consume their armed
 ``times=`` count inside a process that never reports back.  Workers
-journal each destructive firing *before* it executes (via
-:func:`repro.util.faults.set_fire_hook`); the parent replays those
+journal each destructive firing *before* it executes (the worker's
+journal writer observes the ``fault`` event
+:func:`repro.util.faults.fire` emits); the parent replays those
 records against its master spec list and ships the decremented snapshot
 to respawned pools, so a ``times=1`` kill is transient sweep-wide and
 the retried unit converges to its fault-free outcome -- the property
@@ -92,8 +93,8 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.events import emit_event
-from repro.obs.live import bus_event
+from repro.obs import observe
+from repro.obs.trace import Tracer
 from repro.util.budget import ResourceBudget
 from repro.util.errors import HardTimeout, WorkerCrash
 from repro.util.faults import FaultSpec
@@ -360,8 +361,9 @@ class BatchSupervisor:
     The batch layer wires in everything process-pool-shaped
     (``make_config`` rebuilding the worker initializer payload from a
     fault snapshot, the picklable ``worker_init``/``worker_chunk``/
-    ``solo_entry`` functions, the chunker, and the tracer ``adopt``
-    callback) so this class owns only the supervision state machine:
+    ``solo_entry`` functions, and the chunker) so this class owns only
+    the supervision state machine (plus handing each chunk's worker spans
+    to the installed tracer, if any):
 
     ``DISPATCH -> (drain | BROKEN)``; on ``BROKEN``: adopt journaled
     outcomes, attribute in-flight units, bisect repeat offenders,
@@ -388,7 +390,6 @@ class BatchSupervisor:
         worker_chunk: Callable,
         solo_entry: Callable,
         chunk_fn: Callable[[List[int], int], List[List[int]]],
-        adopt: Callable[[List[Any], int], None],
         pool_failure: Callable[[Any, BaseException], Any],
     ) -> None:
         self.units = units
@@ -404,7 +405,6 @@ class BatchSupervisor:
         self.worker_chunk = worker_chunk
         self.solo_entry = solo_entry
         self.chunk_fn = chunk_fn
-        self.adopt = adopt
         self.pool_failure = pool_failure
 
         self.slots: Dict[int, Any] = {}
@@ -446,7 +446,7 @@ class BatchSupervisor:
                 )
                 if delay > 0:
                     time.sleep(delay)
-                emit_event(
+                observe.event(
                     "supervisor.respawn",
                     generation=generation,
                     units=len(runnable),
@@ -536,7 +536,7 @@ class BatchSupervisor:
                     return_when=FIRST_COMPLETED,
                 )
                 self._consume_journal()
-                bus_event("tick", stats=self.stats)
+                observe.event("tick", stats=self.stats)
                 for future in done:
                     indices = futures[future]
                     try:
@@ -559,7 +559,9 @@ class BatchSupervisor:
                                     adjust=False,
                                 )
                         continue
-                    self.adopt(roots, pid)
+                    tracer = observe.active(Tracer)
+                    if tracer is not None:
+                        tracer.adopt(roots, pid=pid)
                     for index, outcome in results:
                         self._record(index, outcome)
                 if (
@@ -608,7 +610,7 @@ class BatchSupervisor:
                 self._running[index] = (pid, record.get("t", time.time()))
                 self._last_pid[index] = pid
                 self._gen_started.add(index)
-                bus_event(
+                observe.event(
                     "unit.start",
                     index=index,
                     unit=record.get("unit"),
@@ -618,7 +620,7 @@ class BatchSupervisor:
                 # Worker metric/RSS deltas piggybacked on the heartbeat
                 # channel (see batch._worker_analyze_chunk); forwarded
                 # to the live bus, never interpreted here.
-                bus_event("worker.delta", record=record)
+                observe.event("worker.delta", record=record)
             elif kind == "unit.done":
                 index = record.get("index")
                 if not isinstance(index, int):
@@ -663,7 +665,7 @@ class BatchSupervisor:
                 outcome.attempts += retries
         self.slots[index] = outcome
         self._running.pop(index, None)
-        bus_event("unit.done", index=index, outcome=outcome)
+        observe.event("unit.done", index=index, outcome=outcome)
 
     def _adopt_journal_done(self) -> None:
         """Units that completed in a worker but never shipped a result."""
@@ -678,7 +680,7 @@ class BatchSupervisor:
                 continue
             outcome.worker_pid = record.get("pid")
             self.stats["journal_recovered"] += 1
-            emit_event(
+            observe.event(
                 "supervisor.journal-recovered", unit=outcome.unit
             )
             self._record(index, outcome)
@@ -700,7 +702,7 @@ class BatchSupervisor:
             self._timeout_count[index] += 1
             self.stats["watchdog_kills"] += 1
             unit_name = self.units[index].name
-            emit_event(
+            observe.event(
                 "supervisor.watchdog-kill",
                 unit=unit_name,
                 pid=pid,
@@ -748,7 +750,7 @@ class BatchSupervisor:
             ):
                 self._crash_count[index] += 1
                 pid = self._last_pid.get(index)
-                emit_event(
+                observe.event(
                     "supervisor.worker-lost",
                     unit=self.units[index].name,
                     pid=pid,
@@ -764,7 +766,7 @@ class BatchSupervisor:
     def _bisect(self, index: int) -> None:
         """One unit, one fresh process: find (and quarantine) poison pills."""
         unit = self.units[index]
-        emit_event("supervisor.bisect", unit=unit.name)
+        observe.event("supervisor.bisect", unit=unit.name)
         config = self.make_config(
             [replace(spec) for spec in self._fault_specs]
         )
@@ -823,7 +825,7 @@ class BatchSupervisor:
         exitcode = proc.exitcode
         signum = -exitcode if exitcode is not None and exitcode < 0 else None
         self.stats["quarantined"] += 1
-        emit_event(
+        observe.event(
             "supervisor.quarantine",
             unit=unit.name,
             pid=proc.pid,
@@ -844,7 +846,7 @@ class BatchSupervisor:
         """Respawn budget exhausted: fail what's left, structurally."""
         for index in self._runnable():
             unit = self.units[index]
-            emit_event("supervisor.gave-up", unit=unit.name)
+            observe.event("supervisor.gave-up", unit=unit.name)
             self._record(
                 index,
                 crashed_outcome(
@@ -874,7 +876,7 @@ class BatchSupervisor:
         raise ``InvalidStateError`` inside the management thread, which
         splats a phantom traceback on stderr mid-drain.
         """
-        emit_event("supervisor.interrupted")
+        observe.event("supervisor.interrupted")
         procs = []
         try:  # private API, best effort
             procs = list(executor._processes.values())

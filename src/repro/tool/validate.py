@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from repro.obs.events import EventLog
 from repro.obs.replay import replay_trace
-from repro.obs.trace import trace_span
+from repro.obs import observe
 from repro.obs.validate import ValidationResult, correlate_warnings
 from repro.runtime import RegionTracer, run_program
 from repro.util.errors import BudgetExceeded
@@ -78,7 +78,7 @@ def validate_report(
     steps = 0
     runtime = None
     try:
-        with trace_span("validate.execute", unit=report.name, entry=entry):
+        with observe.span("validate.execute", unit=report.name, entry=entry):
             execution = run_program(
                 report.sema,
                 interface,
@@ -102,10 +102,10 @@ def validate_report(
 
     # Replay whatever trace exists — a partial trace still yields
     # partial coverage and any faults observed before the failure.
-    with trace_span("validate.replay", unit=report.name):
+    with observe.span("validate.replay", unit=report.name):
         replay = replay_trace(tracer.records)
     faults = runtime.faults if runtime is not None else replay.runtime_faults
-    with trace_span("validate.correlate", unit=report.name):
+    with observe.span("validate.correlate", unit=report.name):
         result = correlate_warnings(warnings, faults, replay.covered_spans)
     result.status = status
     result.error = error

@@ -122,13 +122,13 @@ class BudgetMeter:
     ) -> None:
         """Emit a ``budget.trip`` event and raise (the only raise path).
 
-        The event log import is local: this is the cold path (budget
-        exhaustion), and :mod:`repro.obs.events` layers above
-        :mod:`repro.util` at import time.
+        The import is local: this is the cold path (budget exhaustion),
+        and :mod:`repro.obs` layers above :mod:`repro.util` at import
+        time.
         """
-        from repro.obs.events import emit_event
+        from repro.obs import observe
 
-        emit_event(
+        observe.event(
             "budget.trip",
             resource=resource,
             limit=limit,

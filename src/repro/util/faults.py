@@ -42,10 +42,12 @@ and the behaviour is exactly the serial one.
 ``kill`` and ``hang`` are the exception to per-dispatch scoping: the
 worker that fires one never reports back, so its local ``times``
 decrement is lost with the process.  The supervisor closes the loop
-through :func:`set_fire_hook` -- workers journal each destructive
-firing *before* it executes, and the parent decrements its master
-snapshot from the journal, so a ``times=1`` kill fires exactly once
-per sweep and the retried unit runs fault-free.
+through the ``fault`` event :func:`fire` emits *before* any action
+executes: a pool worker's run-journal writer observes it (see
+:mod:`repro.obs.observe`) and journals each destructive firing, and the
+parent decrements its master snapshot from the journal, so a
+``times=1`` kill fires exactly once per sweep and the retried unit runs
+fault-free.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ import signal as _signal
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.obs.trace import trace_instant
+from repro.obs import observe
 from repro.util.budget import BudgetMeter
 
 __all__ = [
@@ -70,7 +72,6 @@ __all__ = [
     "fire",
     "snapshot",
     "install",
-    "set_fire_hook",
 ]
 
 _ACTIONS = ("raise", "delay", "corrupt-budget", "kill", "hang")
@@ -99,23 +100,6 @@ class FaultSpec:
 
 
 _ACTIVE: Dict[str, List[FaultSpec]] = {}
-
-#: Called with ``(spec, unit)`` just before a selected fault's action
-#: executes.  The batch supervisor installs a hook inside pool workers
-#: that journals ``kill``/``hang`` firings: those actions destroy the
-#: worker, so the journal line is the only record the parent ever gets
-#: that the armed count was consumed.
-_FIRE_HOOK: Optional[Callable[[FaultSpec, Optional[str]], None]] = None
-
-
-def set_fire_hook(
-    hook: Optional[Callable[[FaultSpec, Optional[str]], None]],
-) -> Optional[Callable[[FaultSpec, Optional[str]], None]]:
-    """Install ``hook`` (or ``None`` to clear); returns the previous one."""
-    global _FIRE_HOOK
-    previous = _FIRE_HOOK
-    _FIRE_HOOK = hook
-    return previous
 
 
 def inject(
@@ -210,11 +194,9 @@ def fire(
             spec.times -= 1
             if spec.times == 0:
                 specs.remove(spec)
-        trace_instant(
+        observe.event(
             "fault", point=point, action=spec.action, unit=unit or ""
         )
-        if _FIRE_HOOK is not None:
-            _FIRE_HOOK(spec, unit)
         if spec.action == "raise":
             raise InjectedFault(
                 spec.message or f"injected fault at {point}"

@@ -5,15 +5,8 @@ import json
 import pytest
 
 from repro.interfaces import rc_regions_interface
-from repro.obs.events import (
-    EVENT_SCHEMA_VERSION,
-    EventLog,
-    current_event_log,
-    emit_event,
-    events_enabled,
-    install_event_log,
-    uninstall_event_log,
-)
+from repro.obs import observe
+from repro.obs.events import EVENT_SCHEMA_VERSION, EventLog
 from repro.tool.batch import run_batch
 from repro.tool.regionwiz import run_regionwiz
 from repro.util.budget import ResourceBudget
@@ -29,9 +22,8 @@ def _records(path):
 def installed_log(tmp_path):
     path = tmp_path / "events.jsonl"
     log = EventLog(str(path))
-    previous = install_event_log(log)
-    yield path, log
-    uninstall_event_log(previous)
+    with observe.observing(log):
+        yield path, log
     log.close()
 
 
@@ -56,21 +48,29 @@ class TestEventLog:
             assert {"seq", "t_ms", "pid", "kind"} <= set(record)
 
     def test_emit_event_is_noop_without_install(self, tmp_path):
-        assert not events_enabled()
-        emit_event("ignored", x=1)  # must not raise
+        assert observe.observers() == ()
+        log = EventLog(str(tmp_path / "e.jsonl"))
+        observe.event("cache.miss", unit="ignored")  # must not raise
+        log.close()
+        assert [r["kind"] for r in _records(log.path)] == ["log.open"]
 
     def test_install_uninstall_restores_previous(self, tmp_path):
         outer = EventLog(str(tmp_path / "outer.jsonl"))
         inner = EventLog(str(tmp_path / "inner.jsonl"))
-        previous = install_event_log(outer)
-        assert install_event_log(inner) is outer
-        assert current_event_log() is inner
-        uninstall_event_log(outer)
-        assert current_event_log() is outer
-        uninstall_event_log(previous)
-        assert not events_enabled()
+        with observe.observing(outer):
+            assert observe.active(EventLog) is outer
+            with observe.observing(inner):
+                assert observe.observers() == (outer, inner)
+                observe.event("cache.miss", unit="both")
+            assert observe.observers() == (outer,)
+            observe.event("cache.miss", unit="outer")
+        assert observe.observers() == ()
+        observe.event("cache.miss", unit="nobody")
         outer.close()
         inner.close()
+        units = [r.get("unit") for r in _records(outer.path)]
+        assert units == [None, "both", "outer"]
+        assert [r.get("unit") for r in _records(inner.path)] == [None, "both"]
 
     def test_append_mode_shares_the_file(self, tmp_path):
         path = tmp_path / "e.jsonl"

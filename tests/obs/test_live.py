@@ -4,15 +4,8 @@ import io
 
 import pytest
 
-from repro.obs.live import (
-    LiveView,
-    TelemetryBus,
-    bus_event,
-    current_bus,
-    install_bus,
-    new_run_id,
-    uninstall_bus,
-)
+from repro.obs import observe
+from repro.obs.live import LiveView, TelemetryBus, new_run_id
 
 
 class FakeOutcome:
@@ -205,16 +198,15 @@ class TestLiveView:
 
 class TestGlobalRegistry:
     def test_bus_event_is_noop_without_bus(self):
-        assert current_bus() is None
-        bus_event("unit.done", index=0)  # must not raise
+        assert observe.active(TelemetryBus) is None
+        observe.event("unit.done", index=0)  # must not raise
 
     def test_install_uninstall_roundtrip(self):
         bus = TelemetryBus()
-        previous = install_bus(bus)
-        try:
-            assert current_bus() is bus
-            bus_event("batch.start", total=1, sizes=[10], jobs=1)
+        with observe.observing(bus):
+            assert observe.active(TelemetryBus) is bus
+            observe.event("batch.start", total=1, sizes=[10], jobs=1)
             assert bus.snapshot()["batch.units_total"] == 1
-        finally:
-            uninstall_bus(previous)
-        assert current_bus() is None
+        assert observe.active(TelemetryBus) is None
+        observe.event("batch.start", total=5, sizes=[10], jobs=1)
+        assert bus.snapshot()["batch.units_total"] == 1

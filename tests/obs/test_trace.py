@@ -2,14 +2,10 @@
 
 import json
 
-from repro.obs.trace import (
-    Tracer,
-    current_tracer,
-    trace_instant,
-    trace_span,
-    tracing,
-    tracing_to,
-)
+import pytest
+
+from repro.obs import observe
+from repro.obs.trace import Tracer
 from repro.tool.regionwiz import run_regionwiz
 from repro.workloads import figure
 
@@ -30,11 +26,17 @@ def check_nesting(events):
         assert not stack, "unclosed B events"
 
 
+@pytest.fixture
+def tracer():
+    tracer = Tracer()
+    with observe.observing(tracer):
+        yield tracer
+
+
 class TestTracer:
-    def test_span_tree_records_time_and_attrs(self):
-        tracer = Tracer()
-        with tracer.span("outer", label="x") as outer:
-            with tracer.span("inner"):
+    def test_span_tree_records_time_and_attrs(self, tracer):
+        with observe.span("outer", label="x") as outer:
+            with observe.span("inner"):
                 pass
             outer.set(count=3)
             outer.add("count", 2)
@@ -45,30 +47,27 @@ class TestTracer:
         assert root.end_us >= root.start_us
         assert [child.name for child in root.children] == ["inner"]
 
-    def test_instant_lands_under_open_span(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            tracer.instant("blip", point="p")
+    def test_instant_lands_under_open_span(self, tracer):
+        with observe.span("outer"):
+            observe.event("fault", point="p")
         (blip,) = tracer.roots[0].children
         assert blip.kind == "instant"
         assert blip.attrs == {"point": "p"}
 
-    def test_exception_marks_error_and_closes(self):
-        tracer = Tracer()
+    def test_exception_marks_error_and_closes(self, tracer):
         try:
-            with tracer.span("failing"):
+            with observe.span("failing"):
                 raise ValueError("boom")
         except ValueError:
             pass
         assert tracer.roots[0].attrs["error"] == "ValueError"
         assert tracer.roots[0].end_us > 0
 
-    def test_find_walks_depth_first(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
+    def test_find_walks_depth_first(self, tracer):
+        with observe.span("a"):
+            with observe.span("b"):
                 pass
-            with tracer.span("b"):
+            with observe.span("b"):
                 pass
         assert len(tracer.find("b")) == 2
         assert tracer.find("missing") == []
@@ -76,26 +75,29 @@ class TestTracer:
 
 class TestGlobalRegistry:
     def test_disabled_tracing_is_shared_noop(self):
-        assert not tracing()
-        assert current_tracer() is None
+        assert observe.observers() == ()
+        assert observe.active(Tracer) is None
         # One shared stateless object: nothing allocated per call.
-        assert trace_span("x", a=1) is trace_span("y")
-        trace_instant("z")  # no-op, must not raise
+        assert observe.span("x", a=1) is observe.span("y")
+        observe.event("fault", point="z")  # no-op, must not raise
 
     def test_tracing_to_installs_and_restores(self):
-        with tracing_to() as tracer:
-            assert tracing()
-            assert current_tracer() is tracer
-            with trace_span("recorded"):
+        tracer = Tracer()
+        with observe.observing(tracer):
+            assert observe.active(Tracer) is tracer
+            with observe.span("recorded"):
                 pass
-        assert not tracing()
+        assert observe.active(Tracer) is None
+        with observe.span("dropped"):
+            pass
         assert [root.name for root in tracer.roots] == ["recorded"]
 
 
 class TestChromeTrace:
     def run_traced(self, name="fig2c", **kwargs):
         program = figure(name)
-        with tracing_to() as tracer:
+        tracer = Tracer()
+        with observe.observing(tracer):
             run_regionwiz(program.full_source, name=name, **kwargs)
         return tracer
 

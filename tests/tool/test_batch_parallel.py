@@ -13,7 +13,8 @@ import tempfile
 
 import pytest
 
-from repro.obs.trace import Tracer, tracing_to
+from repro.obs import observe
+from repro.obs.trace import Tracer
 from repro.tool.batch import BatchUnit, run_batch
 from repro.util import faults
 from repro.workloads import figure_units
@@ -201,7 +202,8 @@ class TestWorkerObservability:
         import os
 
         units = figure_units(["fig1", "fig2a", "fig2c"])
-        with tracing_to(Tracer()) as tracer:
+        tracer = Tracer()
+        with observe.observing(tracer):
             run_batch(units, keep_going=True, jobs=2)
         assert tracer.lanes, "worker spans should come back as lanes"
         unit_spans = tracer.find("batch.unit")
@@ -219,8 +221,65 @@ class TestWorkerObservability:
         names = {e.get("name") for e in trace["traceEvents"]}
         assert "process_name" in names
 
+    def test_forked_worker_drops_inherited_observers(self, tmp_path):
+        """A worker forked while the parent observes, but whose config
+        enables no observer, records no span, writes no event line and
+        journals no ``fault.fired`` -- not even for the kill it dies of."""
+        import multiprocessing
+        import signal
+
+        from repro.obs.events import EventLog
+        from repro.tool.batch import (
+            _WorkerConfig,
+            _WorkerJournal,
+            _worker_analyze_chunk,
+            _worker_init,
+        )
+
+        clean, doomed = figure_units(["fig1", "fig2c"])
+        config = _WorkerConfig(
+            options=None,
+            budget=None,
+            degrade=True,
+            refine=False,
+            solver_stats=False,
+            registry=None,
+            max_retries=0,
+            fault_specs=[
+                faults.FaultSpec("batch-unit", "kill", unit=doomed.name)
+            ],
+            observers=(),
+            keep_going=True,
+        )
+        events = tmp_path / "events.jsonl"
+        journal = tmp_path / "journal.jsonl"
+        tracer = Tracer()
+        log = EventLog(str(events))
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def worker():
+            _worker_init(config)
+            results, roots, _pid = _worker_analyze_chunk([(0, clean, None)])
+            send.send((results[0][1].status, len(roots), len(tracer.roots)))
+            _worker_analyze_chunk([(1, doomed, None)])  # SIGKILLs itself
+
+        with observe.observing(tracer, log, _WorkerJournal(str(journal))):
+            child = ctx.Process(target=worker)
+            child.start()
+            status, shipped, inherited = receive.recv()
+            child.join(timeout=60)
+        log.close()
+        assert child.exitcode == -signal.SIGKILL
+        assert (status, shipped, inherited) == ("clean", 0, 0)
+        assert tracer.roots == []
+        pids = {json.loads(line)["pid"] for line in open(events)}
+        assert pids == {os.getpid()}  # the parent's log.open header only
+        assert not journal.exists() or journal.read_text() == ""
+
     def test_serial_mode_records_no_lanes(self):
-        with tracing_to(Tracer()) as tracer:
+        tracer = Tracer()
+        with observe.observing(tracer):
             run_batch(figure_units(["fig1"]), keep_going=True)
         assert tracer.lanes == []
         assert len(tracer.find("batch.unit")) == 1

@@ -237,3 +237,32 @@ class TestBatchMode:
         second = json.loads(capsys.readouterr().out)
         assert all(r.get("resumed") for r in second["results"])
         assert second["supervision"]["resumed"] == 2
+
+
+class TestUnwritableOutputs:
+    """An output path the run cannot write fails before analysis starts,
+    with one ``cannot write`` line and exit 2 (an input error), never a
+    traceback or the exit code of a warning or an internal error."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trace", "{bad}"],
+            ["--html-report", "{bad}"],
+            ["--validate", "--trace-out", "{bad}"],
+            ["--batch", "--journal", "{bad}"],
+            ["--batch", "--cache", "{bad}"],
+        ],
+        ids=["trace", "html-report", "trace-out", "journal", "cache"],
+    )
+    def test_exit_two_with_one_line(self, tmp_path, capsys, flags):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        bad = str(blocker / "x")  # a regular file used as a directory
+        path = write_source(tmp_path, figure("fig2c"))
+        argv = [bad if flag == "{bad}" else flag for flag in flags]
+        assert main([*argv, path]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith(f"regionwiz: cannot write {bad}: ")
+        assert captured.out == ""  # refused before any analysis ran

@@ -83,12 +83,12 @@ class TestMemProfile:
         assert not any(n.endswith(".peak_mem_bytes") for n in without)
 
     def test_flag_does_not_leak_across_invocations(self, tmp_path, capsys):
-        from repro.obs.metrics import mem_profile_enabled
+        from repro.obs import observe
 
         path = write_source(tmp_path, "fig1")
         assert main(["--json", "--mem-profile", path]) == 0
         capsys.readouterr()
-        assert not mem_profile_enabled()
+        assert observe.observers() == ()
 
 
 class TestMetricsOut:

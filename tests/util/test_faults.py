@@ -1,11 +1,25 @@
 """Tests for the fault-injection registry."""
 
+import json
+
 import pytest
 
+from repro.obs import observe
+from repro.tool.batch import _WorkerJournal
 from repro.util import faults
 from repro.util.budget import ResourceBudget
 from repro.util.errors import BudgetExceeded
 from repro.util.faults import InjectedFault
+
+
+class _FaultRecorder(observe.Observer):
+    events = ("fault",)
+
+    def __init__(self):
+        self.seen = []
+
+    def on_event(self, kind, fields):
+        self.seen.append((fields["point"], fields["action"], fields["unit"]))
 
 
 @pytest.fixture(autouse=True)
@@ -87,7 +101,8 @@ class TestRegistry:
 
 
 class TestDestructiveActions:
-    """The supervisor-facing ``kill``/``hang`` actions and the fire hook."""
+    """The supervisor-facing ``kill``/``hang`` actions and the ``fault``
+    event every firing emits before its action."""
 
     def test_kill_action_sigkills_the_process(self):
         # Fired in a child process: the parent must observe SIGKILL.
@@ -111,35 +126,38 @@ class TestDestructiveActions:
         assert time.monotonic() - started >= 0.05
 
     def test_fire_hook_sees_spec_and_unit_before_the_action(self):
-        seen = []
-        previous = faults.set_fire_hook(
-            lambda spec, unit: seen.append((spec.point, spec.action, unit))
-        )
-        try:
+        recorder = _FaultRecorder()
+        with observe.observing(recorder):
             # hang with an explicit (tiny) delay: delay_seconds=0.0 is
             # the unset default and means "hang forever".
             faults.inject(
                 "batch-unit", action="hang", delay_seconds=0.001
             )
             faults.fire("batch-unit", unit="svn/commit")
-        finally:
-            faults.set_fire_hook(previous)
-        assert seen == [("batch-unit", "hang", "svn/commit")]
+        assert recorder.seen == [("batch-unit", "hang", "svn/commit")]
 
     def test_fire_hook_runs_before_raise_actions_too(self):
-        seen = []
-        previous = faults.set_fire_hook(
-            lambda spec, unit: seen.append(spec.action)
-        )
-        try:
+        recorder = _FaultRecorder()
+        with observe.observing(recorder):
             faults.inject("frontend")
             with pytest.raises(InjectedFault):
                 faults.fire("frontend")
-        finally:
-            faults.set_fire_hook(previous)
-        assert seen == ["raise"]
+        assert recorder.seen == [("frontend", "raise", "")]
 
-    def test_set_fire_hook_returns_previous(self):
-        first = lambda spec, unit: None
-        assert faults.set_fire_hook(first) is None
-        assert faults.set_fire_hook(None) is first
+    def test_worker_journal_records_only_destructive_firings(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with observe.observing(_WorkerJournal(str(path))):
+            faults.inject("frontend")
+            with pytest.raises(InjectedFault):
+                faults.fire("frontend", unit="a")
+            faults.inject("batch-unit", action="hang", delay_seconds=0.001)
+            faults.fire("batch-unit", unit="b")
+            faults.inject("correlation", action="hang", delay_seconds=0.001)
+            faults.fire("correlation")
+        records = [json.loads(line) for line in open(path)]
+        assert [
+            (r["kind"], r["point"], r["action"], r["unit"]) for r in records
+        ] == [
+            ("fault.fired", "batch-unit", "hang", "b"),
+            ("fault.fired", "correlation", "hang", None),
+        ]
