@@ -12,10 +12,13 @@ three times and asserts the crash-proofing contract end to end:
    poison pill).  Retry and solo bisection must fail, leaving one
    ``crashed`` outcome carrying pid/signal detail, every innocent unit
    completed, and the batch folded to exit 3.
-3. **Overhead gate** -- a fault-free supervised sweep may cost at most
-   ``MAX_OVERHEAD_PCT`` over the unsupervised executor (plus a small
-   absolute slack for sub-second corpora): the journal heartbeats and
-   the watchdog poll must stay effectively free when nothing goes wrong.
+3. **Overhead gate** -- the fault-free supervised sweep must report the
+   same warnings as a serial (``jobs=1``) sweep, and its journal -- the
+   channel supervision adds to the pool -- must stay effectively free:
+   every record the sweep journaled is re-appended with the workers'
+   journal writer and tailed once per record with ``RunJournal.tail``
+   on a temporary file, and that cost must stay under
+   ``MAX_OVERHEAD_PCT`` of the sweep's wall time.
 
 Headline numbers land in ``BENCH_batch_supervision.json`` (JSON-lines,
 one record per run) for cross-PR trajectory plots.
@@ -25,22 +28,21 @@ Usage: ``PYTHONPATH=src python benchmarks/smoke_chaos_batch.py``
 
 from __future__ import annotations
 
+import os
 import signal
 import sys
+import tempfile
 import time
 
-from repro.tool.batch import BatchResult, run_batch
-from repro.tool.supervise import SupervisePolicy
+from repro.tool.batch import BatchResult, _WorkerJournal, run_batch
+from repro.tool.supervise import RunJournal, SupervisePolicy
 from repro.util import faults
 from repro.workloads import PACKAGES, package_units
 
 JOBS = 2
-#: Supervised fault-free sweep may cost at most this much over the
-#: unsupervised executor...
+#: Writing and tailing a fault-free sweep's journal may cost at most
+#: this share of the sweep's wall time.
 MAX_OVERHEAD_PCT = 3.0
-#: ...plus this absolute slack: on a sub-second sweep a single extra
-#: scheduler quantum would otherwise dwarf the percentage gate.
-OVERHEAD_SLACK_S = 0.5
 
 #: Snappy supervisor reflexes so the smoke stays cheap: short respawn
 #: backoff and a tight watchdog poll.
@@ -59,6 +61,26 @@ def check_no_lost_units(result: BatchResult, units, failures, label: str):
         )
 
 
+def journal_cost(records, path: str) -> float:
+    """Seconds to re-append ``records`` with the workers' journal
+    writer and tail them back, one ``RunJournal.tail`` per record."""
+    reader = RunJournal(path)
+    writer = _WorkerJournal(path)
+    started = time.perf_counter()
+    for record in records:
+        fields = {
+            key: value
+            for key, value in record.items()
+            if key not in ("kind", "pid", "t")
+        }
+        writer.append(record["kind"], **fields)
+        reader.tail()
+    cost = time.perf_counter() - started
+    writer.close()
+    reader.close()
+    return cost
+
+
 def main() -> int:
     units = [unit for model in PACKAGES for unit in package_units(model)]
     names = [u.name for u in units]
@@ -69,28 +91,30 @@ def main() -> int:
     )
     failures: list = []
 
-    # Reference + overhead gate: fault-free, unsupervised vs supervised.
-    t0 = time.perf_counter()
-    unsupervised = run_batch(
-        units, keep_going=True, jobs=JOBS, supervise=False
-    )
-    t_unsup = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    reference = run_batch(units, keep_going=True, jobs=JOBS)
-    t_sup = time.perf_counter() - t0
-    if warning_sets(reference) != warning_sets(unsupervised):
-        failures.append("supervised fault-free report differs from unsupervised")
-    overhead_pct = (
-        (t_sup - t_unsup) / t_unsup * 100.0 if t_unsup > 0 else 0.0
-    )
+    # Reference + overhead gate: a fault-free supervised sweep with a
+    # named journal, its warnings checked against a serial sweep and
+    # its journal priced directly.
+    serial = run_batch(units, keep_going=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = os.path.join(tmp, "journal.jsonl")
+        t0 = time.perf_counter()
+        reference = run_batch(
+            units, keep_going=True, jobs=JOBS, journal=journal
+        )
+        t_sup = time.perf_counter() - t0
+        records = RunJournal.load(journal)
+        t_journal = journal_cost(records, os.path.join(tmp, "priced.jsonl"))
+    if warning_sets(reference) != warning_sets(serial):
+        failures.append("supervised fault-free report differs from serial")
+    overhead_pct = t_journal / t_sup * 100.0 if t_sup > 0 else 0.0
     print(
-        f"overhead: unsupervised {t_unsup:.2f}s, supervised {t_sup:.2f}s"
-        f" ({overhead_pct:+.1f}%)"
+        f"overhead: supervised {t_sup:.2f}s, its {len(records)} journal"
+        f" record(s) cost {t_journal * 1000:.2f}ms ({overhead_pct:.2f}%)"
     )
-    if t_sup > t_unsup * (1.0 + MAX_OVERHEAD_PCT / 100.0) + OVERHEAD_SLACK_S:
+    if overhead_pct >= MAX_OVERHEAD_PCT:
         failures.append(
-            f"supervision overhead {overhead_pct:.1f}% exceeds"
-            f" {MAX_OVERHEAD_PCT}% (+{OVERHEAD_SLACK_S}s slack)"
+            f"journal overhead {overhead_pct:.2f}% exceeds"
+            f" {MAX_OVERHEAD_PCT}%"
         )
 
     # Size the hard deadline off the observed fault-free unit times so a
@@ -191,7 +215,7 @@ def main() -> int:
             "batch_supervision",
             units=len(units),
             jobs=JOBS,
-            unsupervised_s=round(t_unsup, 3),
+            journal_cost_s=round(t_journal, 6),
             supervised_s=round(t_sup, 3),
             overhead_pct=round(overhead_pct, 2),
             chaos_s=round(t_chaos, 3),

@@ -24,6 +24,17 @@ contribute: their ``exit_code`` is ``None`` (``null`` in JSON), so a
 stopped sweep can never be mistaken for a mostly-clean one by consumers
 keying on exit codes.
 
+Two execution paths, one sweep
+------------------------------
+
+:func:`run_batch` builds one sweep config (:class:`_SweepConfig`) and
+runs one per-unit loop (:func:`_analyze_units`) on one of two paths:
+in process (``jobs == 1``) or in a supervised warm process pool
+(``jobs > 1``).  The parent-side bookkeeping -- resume replay, the
+cache probe, the earliest-hard-failure scan, deferred cache and
+incremental-state stores, ``skipped`` normalization -- is written once
+for both (:func:`_sweep`).
+
 Parallel sharding (``jobs > 1``)
 --------------------------------
 
@@ -32,13 +43,13 @@ what the fault-isolation design guarantees -- so :func:`run_batch` can
 fan them out to a :class:`~concurrent.futures.ProcessPoolExecutor`.
 The dispatch is built so parallelism *pays* on paper-scale corpora:
 
-* the per-batch invariant state (:class:`AnalysisOptions`, the
+* the sweep config (:class:`AnalysisOptions`, the
   :class:`ResourceBudget` template, the
   :class:`~repro.callgraph.ImplicitCallRegistry`, the fault-spec
   snapshot, and the worker counterparts of the installed observers)
   crosses the pool boundary
   **once per worker** through the pool ``initializer``, not once per
-  unit -- a task pickles only ``(index, unit)`` pairs;
+  unit -- a task pickles only ``(index, unit, key)`` triples;
 * units are dispatched in **contiguous chunks** so small units amortize
   the submit/result round trip, and the same **warm workers** serve
   every chunk of the batch -- worker startup is paid ``jobs`` times per
@@ -62,19 +73,20 @@ The dispatch is built so parallelism *pays* on paper-scale corpora:
 Supervision (crash-proofing)
 ----------------------------
 
-With ``jobs > 1`` the pool runs under a
-:class:`~repro.tool.supervise.BatchSupervisor` by default (see that
-module for the full design): a SIGKILL'd/OOM'd worker no longer takes
-the sweep down -- its units are retried on a respawned pool and a unit
-that repeatedly kills workers is bisected solo and quarantined with a
+The pool always runs under a
+:class:`~repro.tool.supervise.BatchSupervisor` (see that module for the
+full design), with the caller's run journal or a throwaway one as its
+heartbeat channel: a SIGKILL'd/OOM'd worker no longer takes the sweep
+down -- its units are retried on a respawned pool and a unit that
+repeatedly kills workers is bisected solo and quarantined with a
 ``crashed`` outcome (exit 3); a hard per-unit wall-clock deadline
-(``hard_timeout``, or budget wall clock x grace factor) SIGKILLs hung
-units and records ``timeout`` outcomes (exit 4); a JSONL run
-``journal`` of completed outcomes makes sweeps resumable
-(``resume=True``) after even the parent dies; and SIGINT/SIGTERM drain
-in-flight results into a partial report (``BatchResult.interrupted``).
-Supervision keeps the serial-equivalence contract: a fault-free
-supervised sweep produces byte-identical batch JSON, and transient
+(the policy's ``hard_timeout``, or budget wall clock x grace factor)
+SIGKILLs hung units and records ``timeout`` outcomes (exit 4).  On
+either path a JSONL run ``journal`` of completed outcomes makes sweeps
+resumable (``resume=True``) after even the parent dies, and
+SIGINT/SIGTERM drain completed results into a partial report
+(``BatchResult.interrupted``).  A fault-free pool sweep produces batch
+JSON byte-identical to the in-process sweep's, and transient
 kills/hangs converge to the fault-free report (modulo ``attempts`` and
 the ``supervision`` telemetry block).
 
@@ -85,20 +97,21 @@ Pass ``cache=`` (an :class:`~repro.tool.cache.AnalysisCache` or a
 directory path) and successful outcomes are stored content-addressed;
 a warm re-run of an unchanged corpus skips analysis entirely, marking
 each replayed outcome ``cached``.  Hit/miss counters land in the batch
-JSON and :meth:`BatchResult.batch_metrics`.  The parallel scheduler
-probes the cache for every unit up front; when a ``keep_going=False``
-sweep stops early it retracts the probes past the failure point
-(:meth:`AnalysisCache.uncount`), so reported counters match the serial
-sweep's exactly.
+JSON and :meth:`BatchResult.batch_metrics`.  The in-process path
+probes the cache lazily, unit by unit; the pool probes every unit up
+front, and when a ``keep_going=False`` sweep stops early the probes
+past the failure point are retracted (:meth:`AnalysisCache.uncount`),
+so reported counters match on both paths exactly.
 
 Cache writes follow serial semantics under early stops: with
 ``keep_going=False``, results that in-flight workers deliver after the
 earliest hard failure are relabelled ``skipped`` in the report, and
 their outcomes are **not** persisted -- a serial run would never have
 analyzed them, so caching them would let a warm re-run resurrect
-results the batch report never produced.  Parallel stores are therefore
+results the batch report never produced.  Stores are therefore
 deferred until the sweep drains and flushed only for units *before* the
-earliest hard failure (all of them when no hard failure occurred).
+earliest hard failure (all of them when no hard failure occurred), on
+both paths.
 """
 
 from __future__ import annotations
@@ -111,8 +124,21 @@ import signal as _signal_module
 import tempfile
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.callgraph import ImplicitCallRegistry
 from repro.interfaces import (
@@ -133,9 +159,11 @@ from repro.tool.cache import AnalysisCache
 from repro.tool.incremental import IncrementalUnitSession
 from repro.tool.regionwiz import RegionWizReport, run_regionwiz
 from repro.tool.supervise import (
+    _HARD_FAILURES,
     BatchSupervisor,
     RunJournal,
     SupervisePolicy,
+    _first_hard_failure,
     interruptible,
 )
 from repro.tool.validate import (
@@ -151,9 +179,6 @@ __all__ = ["BatchUnit", "UnitOutcome", "BatchResult", "run_batch", "SEVERITY_ORD
 
 #: Batch exit code = first of these found among unit exit codes.
 SEVERITY_ORDER = (3, 4, 2, 1, 0)
-
-#: Unit exit codes that stop a ``keep_going=False`` sweep.
-_HARD_FAILURES = (2, 3, 4)
 
 #: Exponential backoff between ``max_retries`` attempts at a unit that
 #: failed with an *internal* error: ``min(cap, base * 2**(attempt-1))``
@@ -383,8 +408,8 @@ class BatchResult:
     interrupted: bool = False
     #: Supervision telemetry (respawns / watchdog_kills / quarantined /
     #: timeouts / journal_recovered / resumed ...), present only when the
-    #: supervisor actually intervened -- a fault-free sweep's JSON is
-    #: byte-identical with supervision on or off.
+    #: supervisor intervened or a journal was replayed -- a fault-free
+    #: sweep's JSON is byte-identical on both execution paths.
     supervision: Optional[Dict[str, int]] = None
     #: Parent-generated run id (see :func:`repro.obs.live.new_run_id`);
     #: emitted in :meth:`to_json` only when set, so existing serial ≡
@@ -612,38 +637,109 @@ class BatchResult:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class _SweepConfig:
+    """The per-sweep invariant state: everything every unit's analysis
+    needs but that never varies within one sweep.  :func:`run_batch`
+    builds it once and both execution paths run from it; the pool ships
+    it to each worker exactly once, through the pool ``initializer``, so
+    a task pickles only ``(index, unit, key)`` triples.
+    """
+
+    options: Optional[AnalysisOptions]
+    budget: Optional[ResourceBudget]
+    degrade: bool
+    refine: bool
+    solver_stats: bool
+    registry: Optional[ImplicitCallRegistry]
+    max_retries: int
+    keep_going: bool
+    #: Dynamic validation (``--validate``): run each successful unit's
+    #: entry point under the traced interpreter and attach the
+    #: validation payload to its outcome.
+    validate: bool = False
+    validate_steps: int = DEFAULT_VALIDATE_STEPS
+    #: Directory for per-unit trace artifacts (``--trace-out``).
+    trace_dir: Optional[str] = None
+    #: Incremental re-analysis (``--incremental``): units load their
+    #: state from the cache directory and run the delta re-solve; fresh
+    #: state rides back on the outcome for the parent to persist.
+    incremental: bool = False
+    cache_root: Optional[str] = None
+    #: The fault specs a pool worker re-arms per chunk.  Empty in
+    #: process, where the caller's armed specs fire directly.
+    fault_specs: List[faults.FaultSpec] = field(default_factory=list)
+    #: Everything a pool worker observes through, installed in one step
+    #: by :func:`_worker_init`: the worker counterparts of the parent's
+    #: observers (:func:`repro.obs.observe.for_workers`) plus the
+    #: :class:`_WorkerJournal` writer.  Empty in process, where the
+    #: caller's installed observers see everything directly.
+    observers: Tuple[observe.Observer, ...] = ()
+
+    @cached_property
+    def key_material(self) -> Dict[str, Any]:
+        """The configuration half of every content and identity key."""
+        return {
+            "options": self.options,
+            "budget": self.budget,
+            "degrade": self.degrade,
+            "refine": self.refine,
+            "solver_stats": self.solver_stats,
+            "validate": (
+                {
+                    "schema": VALIDATION_SCHEMA_VERSION,
+                    "steps": int(self.validate_steps),
+                }
+                if self.validate
+                else None
+            ),
+            "registry": self.registry,
+        }
+
+
+def _content_key(unit: BatchUnit, config: _SweepConfig) -> str:
+    """The unit's content key, addressing both its persistent cache
+    entry and its journal identity.
+
+    :meth:`AnalysisCache.key` is static, so no cache directory is
+    needed: a resumed sweep must only replay an outcome, and a cache
+    only serve one, if the unit's source *and* the analysis
+    configuration are unchanged.
+    """
+    return AnalysisCache.key(
+        source=unit.source,
+        filename=unit.filename,
+        interface=unit.effective_interface,
+        entry=unit.entry,
+        **config.key_material,
+    )
+
+
+def _unit_identity_key(unit: BatchUnit, config: _SweepConfig) -> str:
+    """The unit's source-independent state address (static, like
+    :func:`_content_key` -- workers recompute it without a cache)."""
+    return AnalysisCache.identity_key(
+        name=unit.name,
+        filename=unit.filename,
+        interface=unit.effective_interface,
+        entry=unit.entry,
+        **config.key_material,
+    )
+
+
+def _stops(config: _SweepConfig, outcome: UnitOutcome) -> bool:
+    """True when ``outcome`` ends a ``keep_going=False`` sweep."""
+    return not config.keep_going and outcome.exit_code in _HARD_FAILURES
+
+
 def _analyze_unit(
     unit: BatchUnit,
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    refine: bool,
-    solver_stats: bool,
-    registry: Optional[ImplicitCallRegistry],
-    max_retries: int,
-    validate: bool = False,
-    validate_steps: int = DEFAULT_VALIDATE_STEPS,
-    trace_dir: Optional[str] = None,
-    incremental_cache: Optional[AnalysisCache] = None,
-    identity: Optional[str] = None,
+    config: _SweepConfig,
+    state_cache: Optional[AnalysisCache] = None,
 ) -> UnitOutcome:
     with observe.span("batch.unit", unit=unit.name) as span:
         started = time.process_time()
-        outcome = _analyze_unit_isolated(
-            unit,
-            options,
-            budget,
-            degrade,
-            refine,
-            solver_stats,
-            registry,
-            max_retries,
-            validate=validate,
-            validate_steps=validate_steps,
-            trace_dir=trace_dir,
-            incremental_cache=incremental_cache,
-            identity=identity,
-        )
+        outcome = _analyze_unit_isolated(unit, config, state_cache)
         outcome.elapsed = time.process_time() - started
         span.set(
             status=outcome.status,
@@ -655,22 +751,13 @@ def _analyze_unit(
 
 def _analyze_unit_isolated(
     unit: BatchUnit,
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    refine: bool,
-    solver_stats: bool,
-    registry: Optional[ImplicitCallRegistry],
-    max_retries: int,
-    validate: bool = False,
-    validate_steps: int = DEFAULT_VALIDATE_STEPS,
-    trace_dir: Optional[str] = None,
-    incremental_cache: Optional[AnalysisCache] = None,
-    identity: Optional[str] = None,
+    config: _SweepConfig,
+    state_cache: Optional[AnalysisCache] = None,
 ) -> UnitOutcome:
     session: Optional[IncrementalUnitSession] = None
-    if incremental_cache is not None and identity is not None:
-        session = IncrementalUnitSession(incremental_cache, identity)
+    if state_cache is not None:
+        identity = _unit_identity_key(unit, config)
+        session = IncrementalUnitSession(state_cache, identity)
         diff = session.probe(unit.source, unit.filename)
         if diff is not None and diff.clean:
             served = session.served_outcome()
@@ -704,13 +791,13 @@ def _analyze_unit_isolated(
                 filename=unit.filename,
                 interface=unit.region_interface(),
                 entry=unit.entry,
-                options=options,
-                registry=registry,
+                options=config.options,
+                registry=config.registry,
                 name=unit.name,
-                refine=refine,
-                solver_stats=solver_stats,
-                budget=budget,
-                degrade=degrade,
+                refine=config.refine,
+                solver_stats=config.solver_stats,
+                budget=config.budget,
+                degrade=config.degrade,
                 incremental=session,
             )
         except (CompileError, InputError) as error:
@@ -736,7 +823,7 @@ def _analyze_unit_isolated(
                 error_detail=error.to_dict(),
             )
         except Exception as error:  # internal crash: isolate, maybe retry
-            if attempts <= max_retries:
+            if attempts <= config.max_retries:
                 time.sleep(
                     min(
                         _RETRY_BACKOFF_CAP,
@@ -755,7 +842,7 @@ def _analyze_unit_isolated(
             )
         high = sum(1 for w in report.warnings if w.high_ranked)
         validation_payload: Optional[Dict[str, Any]] = None
-        if validate:
+        if config.validate:
             # Dynamic validation runs inside the unit's fault-isolation
             # scope and *before* metrics are snapshotted, so the
             # validation.* gauges land in the outcome's metrics payload.
@@ -763,13 +850,15 @@ def _analyze_unit_isolated(
             # status; the extra except keeps a simulator crash from
             # turning a successful analysis into a failed unit.
             trace_path = (
-                trace_out_path(trace_dir, unit.name)
-                if trace_dir is not None
+                trace_out_path(config.trace_dir, unit.name)
+                if config.trace_dir is not None
                 else None
             )
             try:
                 validation_payload = validate_report(
-                    report, max_steps=validate_steps, trace_path=trace_path
+                    report,
+                    max_steps=config.validate_steps,
+                    trace_path=trace_path,
                 ).to_payload()
             except Exception as error:
                 validation_payload = ValidationResult(
@@ -798,7 +887,7 @@ def _analyze_unit_isolated(
             # Bundle the outcome into the state so a future warm run can
             # serve it on a clean manifest diff, then hand the payload to
             # the caller -- the parent persists it (deferred-store
-            # discipline), never the worker.
+            # discipline), never the unit loop.
             session.record_outcome(outcome.to_cache_payload())
             outcome.incremental_state = session.export_state()
             outcome.incremental_mode = session.mode
@@ -811,10 +900,8 @@ def _analyze_unit_isolated(
 
 
 def _cache_lookup(
-    cache: Optional[AnalysisCache], key: Optional[str], unit: BatchUnit
+    cache: AnalysisCache, key: str, unit: BatchUnit
 ) -> Optional[UnitOutcome]:
-    if cache is None or key is None:
-        return None
     payload = cache.lookup(key)
     if payload is None:
         observe.event("cache.miss", unit=unit.name, key=key)
@@ -837,126 +924,51 @@ def _cache_lookup(
     return outcome
 
 
-def _cache_store(
-    cache: Optional[AnalysisCache], key: Optional[str], outcome: UnitOutcome
-) -> None:
-    if cache is None or key is None or not outcome.ok or outcome.cached:
-        return
-    cache.store(key, outcome.to_cache_payload())
-
-
-def _unit_identity_key(
-    unit: BatchUnit,
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    refine: bool,
-    solver_stats: bool,
-    validate_key: Optional[Dict[str, Any]],
-    registry: Optional[ImplicitCallRegistry],
-) -> str:
-    """The unit's source-independent state address (static, like
-    :func:`_content_key` -- workers recompute it without a cache)."""
-    return AnalysisCache.identity_key(
-        name=unit.name,
-        filename=unit.filename,
-        interface=unit.effective_interface,
-        entry=unit.entry,
-        options=options,
-        budget=budget,
-        degrade=degrade,
-        refine=refine,
-        solver_stats=solver_stats,
-        validate=validate_key,
-        registry=registry,
-    )
-
-
-def _state_store(
+def _store(
     cache: Optional[AnalysisCache],
-    identity: Optional[str],
+    config: _SweepConfig,
+    unit: BatchUnit,
+    key: Optional[str],
     outcome: UnitOutcome,
 ) -> None:
-    """Persist a unit's fresh incremental state (parent side only)."""
+    """Persist a freshly analyzed outcome and its incremental state.
+
+    Parent side only, after the sweep drains: replayed outcomes
+    (``cached``/``resumed``) are already persisted, and failures never
+    are.
+    """
     if (
         cache is None
-        or identity is None
-        or outcome.incremental_state is None
+        or key is None
         or not outcome.ok
+        or outcome.cached
+        or outcome.resumed
     ):
         return
-    cache.store_state(identity, outcome.incremental_state)
+    cache.store(key, outcome.to_cache_payload())
+    if outcome.incremental_state is not None:
+        cache.store_state(
+            _unit_identity_key(unit, config), outcome.incremental_state
+        )
 
 
 # ---------------------------------------------------------------------------
-# The process-pool shard scheduler
+# The unit loop and its journal writer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _WorkerConfig:
-    """The per-batch invariant state: everything every unit's analysis
-    needs but that never varies within one sweep.  Shipped to each pool
-    worker exactly once, through the pool ``initializer`` -- the old
-    dispatch re-pickled all of it (options, budget, registry, fault
-    specs, observers) into every per-unit task, which is pure overhead
-    on corpora of hundreds of units.
-    """
-
-    options: Optional[AnalysisOptions]
-    budget: Optional[ResourceBudget]
-    degrade: bool
-    refine: bool
-    solver_stats: bool
-    registry: Optional[ImplicitCallRegistry]
-    max_retries: int
-    fault_specs: List[faults.FaultSpec]
-    #: Everything the worker observes through, installed in one step by
-    #: :func:`_worker_init`: the worker counterparts of the parent's
-    #: observers (:func:`repro.obs.observe.for_workers`) plus, under
-    #: supervision, the :class:`_WorkerJournal` writer.
-    observers: Tuple[observe.Observer, ...]
-    keep_going: bool
-    #: Dynamic validation (``--validate``): run each successful unit's
-    #: entry point under the traced interpreter and attach the
-    #: validation payload to its outcome.
-    validate: bool = False
-    validate_steps: int = DEFAULT_VALIDATE_STEPS
-    #: Directory for per-unit trace artifacts (``--trace-out``).
-    trace_dir: Optional[str] = None
-    #: Incremental re-analysis (``--incremental``): workers load per-unit
-    #: state from the cache directory and run the delta re-solve; fresh
-    #: state rides back on the outcome for the parent to persist.
-    incremental: bool = False
-    cache_root: Optional[str] = None
-
-
-def _config_validate_key(
-    config: _WorkerConfig,
-) -> Optional[Dict[str, Any]]:
-    """The validation key material, reconstructed worker-side (it must
-    hash identically to the parent's, or identity keys diverge)."""
-    if not config.validate:
-        return None
-    return {
-        "schema": VALIDATION_SCHEMA_VERSION,
-        "steps": int(config.validate_steps),
-    }
-
-
-#: This worker's copy of the batch config, set by :func:`_worker_init`.
-_WORKER_CONFIG: Optional[_WorkerConfig] = None
 
 class _WorkerJournal(observe.Observer):
-    """A pool worker's side of the supervisor's run journal.
+    """The unit loop's side of the supervisor's run journal.
 
-    Appends the chunk loop's ``unit.start``/``unit.done`` heartbeats
-    and, with ``telemetry`` (a live bus in the parent), one small
-    ``telemetry`` record per completed unit: rss/cpu readings riding the
-    heartbeat channel the supervisor already tails, no second IPC path.
-    As an observer it turns each ``kill``/``hang`` ``fault`` event into a
-    ``fault.fired`` record *before* the action runs: such a fault takes
-    the worker down with it, so this line is the only record the parent
-    ever gets that the armed ``times=`` count was consumed (see
+    Appends the loop's ``unit.start``/``unit.done`` heartbeats and, with
+    ``telemetry`` (a live bus in the parent), one small ``telemetry``
+    record per completed unit: rss/cpu readings riding the heartbeat
+    channel the supervisor already tails, no second IPC path.  Installed
+    as a pool worker's observer it also turns each ``kill``/``hang``
+    ``fault`` event into a ``fault.fired`` record *before* the action
+    runs: such a fault takes the worker down with it, so this line is
+    the only record the parent ever gets that the armed ``times=`` count
+    was consumed (see
     :meth:`repro.tool.supervise.BatchSupervisor._consume_fault`).  Each
     record is one short O_APPEND write, like the event log's, so parent
     and worker lines interleave at line granularity.
@@ -1011,9 +1023,96 @@ class _WorkerJournal(observe.Observer):
                 unit=fields["unit"] or None,
             )
 
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
-def _worker_init(config: _WorkerConfig) -> None:
-    """Pool initializer: receive the batch config once, warm the worker.
+
+#: A run of ``(index, unit, key)`` triples for the unit loop -- ``key``
+#: is the unit's content key (journal identity; None when neither a
+#: named journal nor a cache is configured).
+_Chunk = Iterable[Tuple[int, BatchUnit, Optional[str]]]
+
+
+def _analyze_units(
+    config: _SweepConfig,
+    chunk: _Chunk,
+    state_cache: Optional[AnalysisCache],
+    journal: Optional[_WorkerJournal],
+) -> Iterator[Tuple[int, UnitOutcome]]:
+    """The per-unit loop both execution paths run, yielding outcomes.
+
+    With a journal each unit is bracketed by heartbeats: a
+    ``unit.start`` before analysis (the supervisor's watchdog clock and,
+    if the process dies, the crash attribution) and a ``unit.done``
+    carrying the full outcome payload after (so results that completed
+    before a later unit killed a worker are adopted, not re-run, and a
+    resumed sweep replays them).  Under ``keep_going=False`` the loop
+    ends after a hard failure: a serial run never reaches the rest.
+    """
+    for index, unit, key in chunk:
+        if journal is not None:
+            journal.append("unit.start", index=index, unit=unit.name)
+        outcome = _analyze_unit(unit, config, state_cache)
+        # Yield before journaling: a pool worker drops the full report
+        # here, so it is freed before the payload is serialized.
+        yield index, outcome
+        if journal is not None:
+            journal.unit_done(index, unit, key, outcome)
+        if _stops(config, outcome):
+            return
+
+
+def _run_in_process(
+    units: List[BatchUnit],
+    config: _SweepConfig,
+    keys: List[Optional[str]],
+    probe: Callable[[int], Optional[UnitOutcome]],
+    slots: List[Optional[UnitOutcome]],
+    cache: Optional[AnalysisCache],
+    journal: Optional[RunJournal],
+) -> None:
+    """The ``jobs == 1`` path: the unit loop in this process.
+
+    Units are probed lazily in submission order, so a sweep that stops
+    early never probes past its failure, and every unit's ``unit.done``
+    event lands as soon as its outcome does.  The caller's armed faults
+    and installed observers apply as they stand.
+    """
+
+    def misses() -> Iterator[Tuple[int, BatchUnit, Optional[str]]]:
+        for index, unit in enumerate(units):
+            replayed = probe(index)
+            if replayed is None:
+                yield index, unit, keys[index]
+            elif _stops(config, replayed):
+                return
+
+    writer = _WorkerJournal(journal.path) if journal is not None else None
+    state_cache = cache if config.incremental else None
+    try:
+        for index, outcome in _analyze_units(
+            config, misses(), state_cache, writer
+        ):
+            slots[index] = outcome
+            observe.event("unit.done", index=index, outcome=outcome)
+    finally:
+        if writer is not None:
+            writer.close()
+
+
+# ---------------------------------------------------------------------------
+# The supervised process pool
+# ---------------------------------------------------------------------------
+
+
+#: This worker's copy of the sweep config, set by :func:`_worker_init`.
+_WORKER_CONFIG: Optional[_SweepConfig] = None
+
+
+def _worker_init(config: _SweepConfig) -> None:
+    """Pool initializer: receive the sweep config once, warm the worker.
 
     Runs once per worker process at spawn.  Freezes the inherited heap
     out of the cyclic GC: a forked worker inherits everything the
@@ -1042,80 +1141,34 @@ def _worker_init(config: _WorkerConfig) -> None:
     observe.install(*config.observers)
 
 
-#: One dispatched task: a contiguous run of ``(index, unit, key)``
-#: triples -- ``key`` is the unit's content key (journal identity; None
-#: when neither journal nor cache is configured).
-_WorkerChunk = List[Tuple[int, BatchUnit, Optional[str]]]
-
-
 def _worker_analyze_chunk(
-    chunk: _WorkerChunk,
+    chunk: List[Tuple[int, BatchUnit, Optional[str]]],
 ) -> Tuple[List[Tuple[int, UnitOutcome]], List[SpanRecord], int]:
-    """Analyze one chunk of units inside a warm pool worker.
+    """Run the unit loop over one chunk inside a warm pool worker.
 
     Re-arms the fault-spec snapshot from the worker-local config (one
     dispatch = one chunk, preserving the documented per-dispatch scope
-    of bare ``times=`` specs).  Ships back the slimmed outcomes, the
-    span roots the worker's tracer recorded for this chunk (when the
-    parent is tracing), and this worker's pid.  Under
-    ``keep_going=False`` the rest of the chunk is abandoned after a hard
-    failure -- the parent would relabel those units ``skipped`` anyway,
-    exactly as a serial run never reaches them.
-
-    Under supervision each unit is bracketed by journal heartbeats: a
-    ``unit.start`` before analysis (the parent's watchdog clock and, if
-    this process dies, the crash attribution) and a ``unit.done``
-    carrying the full outcome payload after (so results that completed
-    before a later unit killed the worker are adopted, not re-run).
+    of bare ``times=`` specs) and journals through the installed
+    :class:`_WorkerJournal`.  Ships back the slimmed outcomes, the span
+    roots the worker's tracer recorded for this chunk (when the parent
+    is tracing), and this worker's pid.
     """
     assert _WORKER_CONFIG is not None, "worker used without initializer"
     config = _WORKER_CONFIG
-    journal = observe.active(_WorkerJournal)
-    incremental_cache: Optional[AnalysisCache] = None
+    state_cache: Optional[AnalysisCache] = None
     if config.incremental and config.cache_root is not None:
         # Worker-local handle on the shared cache directory; counters on
         # it are throwaway (the parent owns the reported counters).
-        incremental_cache = AnalysisCache(config.cache_root)
+        state_cache = AnalysisCache(config.cache_root)
     faults.install(config.fault_specs)
     results: List[Tuple[int, UnitOutcome]] = []
     try:
-        for index, unit, key in chunk:
-            if journal is not None:
-                journal.append("unit.start", index=index, unit=unit.name)
-            identity: Optional[str] = None
-            if incremental_cache is not None:
-                identity = _unit_identity_key(
-                    unit,
-                    config.options,
-                    config.budget,
-                    config.degrade,
-                    config.refine,
-                    config.solver_stats,
-                    _config_validate_key(config),
-                    config.registry,
-                )
-            outcome = _analyze_unit(
-                unit,
-                config.options,
-                config.budget,
-                config.degrade,
-                config.refine,
-                config.solver_stats,
-                config.registry,
-                config.max_retries,
-                validate=config.validate,
-                validate_steps=config.validate_steps,
-                trace_dir=config.trace_dir,
-                incremental_cache=incremental_cache,
-                identity=identity,
-            )
+        for index, outcome in _analyze_units(
+            config, chunk, state_cache, observe.active(_WorkerJournal)
+        ):
             outcome.report = None  # the full report does not cross the pool
             outcome.worker_pid = os.getpid()
             results.append((index, outcome))
-            if journal is not None:
-                journal.unit_done(index, unit, key, outcome)
-            if not config.keep_going and outcome.exit_code in _HARD_FAILURES:
-                break
     finally:
         faults.clear()
     tracer = observe.active(Tracer)
@@ -1124,7 +1177,7 @@ def _worker_analyze_chunk(
 
 
 def _solo_entry(
-    config: _WorkerConfig,
+    config: _SweepConfig,
     index: int,
     unit: BatchUnit,
     key: Optional[str],
@@ -1180,173 +1233,89 @@ def _chunked(indices: List[int], workers: int, chunk_size: Optional[int]) -> Lis
     ]
 
 
-def _run_batch_parallel(
-    units: List[BatchUnit],
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    keep_going: bool,
-    max_retries: int,
-    refine: bool,
-    solver_stats: bool,
-    registry: Optional[ImplicitCallRegistry],
-    jobs: int,
-    cache: Optional[AnalysisCache],
-    cache_keys: List[Optional[str]],
-    chunk_size: Optional[int] = None,
-    journal: Optional[RunJournal] = None,
-    journal_keys: Optional[List[Optional[str]]] = None,
-    policy: Optional[SupervisePolicy] = None,
-    resumed_slots: Optional[Dict[int, UnitOutcome]] = None,
-    validate: bool = False,
-    validate_steps: int = DEFAULT_VALIDATE_STEPS,
-    trace_dir: Optional[str] = None,
-    incremental: bool = False,
-    identity_keys: Optional[List[Optional[str]]] = None,
-    run_id: Optional[str] = None,
-) -> Tuple[List[Optional[UnitOutcome]], Dict[str, int], bool]:
-    """Fan unit chunks out to a supervised warm process pool.
-
-    Returns ``(slots, supervision_stats, interrupted)``.  A ``None``
-    slot means the unit never ran (cancelled after an early stop, or
-    still in flight when the sweep was interrupted); the caller turns
-    those -- and, without ``keep_going``, every slot after the earliest
-    hard failure -- into ``skipped`` outcomes.
-
-    The :class:`~repro.tool.supervise.BatchSupervisor` owns the pool
-    lifecycle: with a journal it recovers from dead workers, enforces
-    the hard per-unit deadline, and drains on SIGINT/SIGTERM; without
-    one (supervision disabled) the same loop degrades to fail-the-chunk
-    semantics with zero extra machinery on the unit path.
-
-    Without ``keep_going``, cache stores are deferred until the pool
-    drains and flushed only for units *before* the earliest hard
-    failure: an in-flight worker may deliver a result after the stop,
-    and persisting it would let a warm re-run resurrect an outcome the
-    batch report relabelled ``skipped`` (diverging from the serial
-    cache state).  The same deferral covers interrupted sweeps -- only
-    outcomes the partial report actually carries are persisted.
-    """
-    policy = policy or SupervisePolicy()
-    slots: List[Optional[UnitOutcome]] = [None] * len(units)
-    to_run: List[int] = []
-    for index, unit in enumerate(units):
-        if resumed_slots and index in resumed_slots:
-            slots[index] = resumed_slots[index]
-            observe.event("unit.done", index=index, outcome=slots[index])
-            continue
-        hit = _cache_lookup(cache, cache_keys[index], unit)
-        if hit is not None:
-            slots[index] = hit
-            observe.event("unit.done", index=index, outcome=hit)
-        else:
-            to_run.append(index)
-    if not to_run:
-        return slots, {}, False
-
-    keys = journal_keys if journal_keys is not None else cache_keys
-
-    observers = observe.for_workers()
+@contextmanager
+def _pool_journal(
+    journal: Optional[RunJournal], run_id: Optional[str]
+) -> Iterator[RunJournal]:
+    """The caller's journal, or a throwaway one: the supervisor needs
+    the heartbeat/outcome channel even when no persistent journal was
+    asked for."""
     if journal is not None:
-        # Worker telemetry piggybacks on the journal, so it needs both a
-        # live bus parent-side and a journal to ride on.
-        observers += (
-            _WorkerJournal(
-                journal.path,
-                telemetry=observe.active(TelemetryBus) is not None,
-                run_id=run_id,
-            ),
-        )
-
-    def make_config(fault_specs: List[faults.FaultSpec]) -> _WorkerConfig:
-        return _WorkerConfig(
-            options=options,
-            budget=budget,
-            degrade=degrade,
-            refine=refine,
-            solver_stats=solver_stats,
-            registry=registry,
-            max_retries=max_retries,
-            fault_specs=fault_specs,
-            observers=observers,
-            keep_going=keep_going,
-            validate=validate,
-            validate_steps=validate_steps,
-            trace_dir=trace_dir,
-            incremental=incremental,
-            cache_root=cache.root if cache is not None else None,
-        )
-
-    supervisor = BatchSupervisor(
-        units=units,
-        to_run=to_run,
-        jobs=jobs,
-        keep_going=keep_going,
-        policy=policy,
-        deadline=policy.deadline(budget),
-        journal=journal,
-        keys=keys,
-        fault_specs=faults.snapshot(),
-        make_config=make_config,
-        worker_init=_worker_init,
-        worker_chunk=_worker_analyze_chunk,
-        solo_entry=_solo_entry,
-        chunk_fn=lambda indices, workers: _chunked(
-            indices, workers, chunk_size
-        ),
-        pool_failure=_pool_failure_outcome,
-    )
-    for index, outcome in supervisor.run().items():
-        slots[index] = outcome
-
-    first_failure: Optional[int] = None
-    if not keep_going:
-        for index, outcome in enumerate(slots):
-            if outcome is not None and outcome.exit_code in _HARD_FAILURES:
-                first_failure = index
-                break
-    for index in to_run:
-        outcome = slots[index]
-        if outcome is None:
-            continue
-        if first_failure is None or index < first_failure:
-            _cache_store(cache, cache_keys[index], outcome)
-            if identity_keys is not None:
-                _state_store(cache, identity_keys[index], outcome)
-    return slots, dict(supervisor.stats), supervisor.interrupted
+        yield journal
+        return
+    fd, path = tempfile.mkstemp(prefix="regionwiz-journal-", suffix=".jsonl")
+    os.close(fd)
+    try:
+        with RunJournal(path, run_id=run_id) as ephemeral:
+            yield ephemeral
+    finally:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
 
-def _content_key(
-    unit: BatchUnit,
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    refine: bool,
-    solver_stats: bool,
-    validate_key: Optional[Dict[str, Any]],
-    registry: Optional[ImplicitCallRegistry],
-) -> str:
-    """The unit's content key, addressing both its persistent cache
-    entry and its journal identity.
+def _run_pool(
+    units: List[BatchUnit],
+    config: _SweepConfig,
+    keys: List[Optional[str]],
+    probe: Callable[[int], Optional[UnitOutcome]],
+    slots: List[Optional[UnitOutcome]],
+    journal: Optional[RunJournal],
+    jobs: int,
+    chunk_size: Optional[int],
+    policy: SupervisePolicy,
+    run_id: Optional[str],
+) -> Tuple[Dict[str, int], bool]:
+    """The ``jobs > 1`` path: the unit loop in a supervised warm pool.
 
-    :meth:`AnalysisCache.key` is static, so no cache directory is
-    needed: a resumed sweep must only replay an outcome, and a cache
-    only serve one, if the unit's source *and* the analysis
-    configuration are unchanged.
+    Probes every unit up front, then hands the misses to the
+    :class:`~repro.tool.supervise.BatchSupervisor`, which owns the pool
+    lifecycle: it recovers from dead workers, enforces the hard per-unit
+    deadline, and drains on SIGINT/SIGTERM.  Returns
+    ``(supervision_stats, interrupted)``; a slot left ``None`` means the
+    unit never ran (cancelled after an early stop, or still in flight
+    when the sweep was interrupted).
     """
-    return AnalysisCache.key(
-        source=unit.source,
-        filename=unit.filename,
-        interface=unit.effective_interface,
-        entry=unit.entry,
-        options=options,
-        budget=budget,
-        degrade=degrade,
-        refine=refine,
-        solver_stats=solver_stats,
-        validate=validate_key,
-        registry=registry,
-    )
+    to_run = [index for index in range(len(units)) if probe(index) is None]
+    if not to_run:
+        return {}, False
+    with _pool_journal(journal, run_id) as journal:
+        # Worker telemetry piggybacks on the journal; it needs a live
+        # bus parent-side to land anywhere.
+        writer = _WorkerJournal(
+            journal.path,
+            telemetry=observe.active(TelemetryBus) is not None,
+            run_id=run_id,
+        )
+        supervisor = BatchSupervisor(
+            units=units,
+            to_run=to_run,
+            jobs=jobs,
+            policy=policy,
+            journal=journal,
+            keys=keys,
+            config=replace(
+                config,
+                fault_specs=faults.snapshot(),
+                observers=observe.for_workers() + (writer,),
+            ),
+            worker_init=_worker_init,
+            worker_chunk=_worker_analyze_chunk,
+            solo_entry=_solo_entry,
+            chunk_fn=lambda indices, workers: _chunked(
+                indices, workers, chunk_size
+            ),
+            pool_failure=_pool_failure_outcome,
+        )
+        for index, outcome in supervisor.run().items():
+            slots[index] = outcome
+    return dict(supervisor.stats), supervisor.interrupted
+
+
+# ---------------------------------------------------------------------------
+# The sweep
+# ---------------------------------------------------------------------------
 
 
 def run_batch(
@@ -1362,10 +1331,8 @@ def run_batch(
     jobs: int = 1,
     cache: Optional[Union[AnalysisCache, str]] = None,
     chunk_size: Optional[int] = None,
-    hard_timeout: Optional[float] = None,
     journal: Optional[str] = None,
     resume: bool = False,
-    supervise: bool = True,
     policy: Optional[SupervisePolicy] = None,
     validate: bool = False,
     validate_steps: int = DEFAULT_VALIDATE_STEPS,
@@ -1380,26 +1347,23 @@ def run_batch(
     first hard failure (exit code 2/3/4) stops the sweep and the
     remaining units are recorded as ``skipped`` (``exit_code=None``).
 
-    ``jobs > 1`` shards the sweep over that many warm worker processes;
+    ``jobs > 1`` shards the sweep over that many warm worker processes
+    under the crash-proofing supervisor (see :mod:`repro.tool.supervise`);
     outcomes come back in submission order either way (see the module
     docstring for the full equivalence argument).  ``chunk_size`` pins
     how many units ride in one dispatched chunk (default: sized for ~4
-    chunks per worker).  ``cache`` (an
+    chunks per worker).  ``policy`` tunes the supervisor
+    (:class:`~repro.tool.supervise.SupervisePolicy`; its
+    ``hard_timeout``, or the budget's wall clock times its grace factor,
+    arms the watchdog that SIGKILLs hung units).  ``cache`` (an
     :class:`~repro.tool.cache.AnalysisCache` or a directory path)
     enables the persistent result cache.
 
-    ``supervise`` (default, effective with ``jobs > 1``) runs the sweep
-    under the crash-proofing supervisor (see :mod:`repro.tool.supervise`):
-    dead workers are respawned and their units retried/bisected, and
-    ``hard_timeout`` (or the budget's wall clock times the policy's
-    grace factor) arms a watchdog that SIGKILLs hung units.  ``journal``
-    names a JSONL run journal of completed outcomes; ``resume=True``
-    replays completed units from it instead of re-analyzing them (their
-    outcomes are marked ``resumed``).  SIGINT/SIGTERM drain in-flight
-    results into a partial :class:`BatchResult` with
-    ``interrupted=True`` (serial sweeps included).  ``policy`` overrides
-    the full :class:`~repro.tool.supervise.SupervisePolicy`
-    (``hard_timeout`` is ignored when a policy is given).
+    ``journal`` names a JSONL run journal of completed outcomes;
+    ``resume=True`` replays completed units from it instead of
+    re-analyzing them (their outcomes are marked ``resumed``).
+    SIGINT/SIGTERM drain in-flight results into a partial
+    :class:`BatchResult` with ``interrupted=True`` on either path.
 
     ``incremental=True`` (the ``--incremental`` flag; requires ``cache``)
     gives every unit a persistent incremental state in the cache
@@ -1426,299 +1390,146 @@ def run_batch(
         raise ValueError("incremental=True requires a cache")
     if isinstance(cache, str):
         cache = AnalysisCache(cache)
-    if policy is None:
-        policy = SupervisePolicy(hard_timeout=hard_timeout)
-    pending = list(units)
-    validate_key: Optional[Dict[str, Any]] = (
-        {"schema": VALIDATION_SCHEMA_VERSION, "steps": int(validate_steps)}
-        if validate
-        else None
+    config = _SweepConfig(
+        options=options,
+        budget=budget,
+        degrade=degrade,
+        refine=refine,
+        solver_stats=solver_stats,
+        registry=registry,
+        max_retries=max_retries,
+        keep_going=keep_going,
+        validate=validate,
+        validate_steps=validate_steps,
+        trace_dir=trace_dir,
+        incremental=incremental,
+        cache_root=cache.root if cache is not None else None,
     )
-    cache_keys: List[Optional[str]] = [
-        _content_key(
-            unit,
-            options,
-            budget,
-            degrade,
-            refine,
-            solver_stats,
-            validate_key,
-            registry,
-        )
-        if cache is not None
-        else None
-        for unit in pending
-    ]
-    identity_keys: Optional[List[Optional[str]]] = None
-    if incremental:
-        identity_keys = [
-            _unit_identity_key(
-                unit,
-                options,
-                budget,
-                degrade,
-                refine,
-                solver_stats,
-                validate_key,
-                registry,
-            )
-            for unit in pending
-        ]
-
-    journal_obj: Optional[RunJournal] = None
-    ephemeral: Optional[str] = None
-    if journal is not None:
-        journal_obj = RunJournal(journal, resume=resume, run_id=run_id)
-    elif supervise and jobs > 1 and pending:
-        # Supervision needs the heartbeat/outcome channel even when the
-        # caller doesn't want a persistent journal: use a throwaway one.
-        fd, ephemeral = tempfile.mkstemp(
-            prefix="regionwiz-journal-", suffix=".jsonl"
-        )
-        os.close(fd)
-        journal_obj = RunJournal(ephemeral, run_id=run_id)
-    try:
-        return _run_batch_inner(
-            pending,
-            options,
-            budget,
-            degrade,
-            keep_going,
-            max_retries,
-            refine,
-            solver_stats,
-            registry,
-            jobs,
+    opened = (
+        RunJournal(journal, resume=resume, run_id=run_id)
+        if journal is not None
+        else nullcontext()
+    )
+    with opened as run_journal:
+        return _sweep(
+            list(units),
+            config,
             cache,
-            cache_keys,
+            run_journal,
+            jobs,
             chunk_size,
-            policy,
-            journal_obj,
-            supervise,
-            validate=validate,
-            validate_steps=validate_steps,
-            trace_dir=trace_dir,
-            validate_key=validate_key,
-            incremental=incremental,
-            identity_keys=identity_keys,
-            run_id=run_id,
+            policy or SupervisePolicy(),
+            run_id,
         )
-    finally:
-        if journal_obj is not None:
-            journal_obj.close()
-        if ephemeral is not None:
-            try:
-                os.unlink(ephemeral)
-            except OSError:
-                pass
 
 
-def _run_batch_inner(
-    pending: List[BatchUnit],
-    options: Optional[AnalysisOptions],
-    budget: Optional[ResourceBudget],
-    degrade: bool,
-    keep_going: bool,
-    max_retries: int,
-    refine: bool,
-    solver_stats: bool,
-    registry: Optional[ImplicitCallRegistry],
-    jobs: int,
+def _sweep(
+    units: List[BatchUnit],
+    config: _SweepConfig,
     cache: Optional[AnalysisCache],
-    cache_keys: List[Optional[str]],
+    journal: Optional[RunJournal],
+    jobs: int,
     chunk_size: Optional[int],
     policy: SupervisePolicy,
-    journal_obj: Optional[RunJournal],
-    supervise: bool,
-    validate: bool = False,
-    validate_steps: int = DEFAULT_VALIDATE_STEPS,
-    trace_dir: Optional[str] = None,
-    validate_key: Optional[Dict[str, Any]] = None,
-    incremental: bool = False,
-    identity_keys: Optional[List[Optional[str]]] = None,
-    run_id: Optional[str] = None,
+    run_id: Optional[str],
 ) -> BatchResult:
+    """One sweep: the bookkeeping both execution paths share.
+
+    Resume replay and the cache probe fill slots before the unit loop
+    can; afterwards, without ``keep_going``, every unit after the
+    earliest hard failure is normalized to ``skipped`` (whatever a pool
+    worker finished there), cache and incremental-state stores are
+    flushed only for units before it, and the pool's up-front probes of
+    the skipped units are retracted, so both paths report the counters
+    and leave the cache directory a serial run would.
+    """
     observe.event(
         "batch.start",
-        total=len(pending),
-        sizes=[len(unit.source) for unit in pending],
+        total=len(units),
+        sizes=[len(unit.source) for unit in units],
         jobs=jobs,
     )
-    journal_keys: List[Optional[str]] = [None] * len(pending)
-    if journal_obj is not None:
-        journal_keys = [
-            _content_key(
-                unit,
-                options,
-                budget,
-                degrade,
-                refine,
-                solver_stats,
-                validate_key,
-                registry,
-            )
-            for unit in pending
-        ]
+    # Content keys address cache entries and journal records, and the
+    # pool always journals.
+    keyed = cache is not None or journal is not None or jobs > 1
+    keys: List[Optional[str]] = [
+        _content_key(unit, config) if keyed else None for unit in units
+    ]
 
     # Resume replay: adopt completed outcomes from the journal's prior
     # run(s), keyed by (unit name, content key) so a unit whose source
     # or configuration changed re-analyzes.
-    resumed_slots: Dict[int, UnitOutcome] = {}
-    if journal_obj is not None and journal_obj.completed:
-        for index, unit in enumerate(pending):
-            key = journal_keys[index]
-            payload = (
-                journal_obj.completed.get((unit.name, key)) if key else None
-            )
+    resumed: Dict[int, UnitOutcome] = {}
+    if journal is not None and journal.completed:
+        for index, unit in enumerate(units):
+            payload = journal.completed.get((unit.name, keys[index]))
             if payload is None:
                 continue
             try:
-                outcome = UnitOutcome.from_payload(payload, resumed=True)
+                resumed[index] = UnitOutcome.from_payload(payload, resumed=True)
             except (KeyError, TypeError, ValueError):
                 continue
-            resumed_slots[index] = outcome
-            observe.event("journal.replay", unit=unit.name, key=key)
+            observe.event("journal.replay", unit=unit.name, key=keys[index])
 
-    result = BatchResult()
+    slots: List[Optional[UnitOutcome]] = [None] * len(units)
+    probed: Set[int] = set()
+
+    def probe(index: int) -> Optional[UnitOutcome]:
+        """Fill ``slots[index]`` by replay or cache hit, if either has it."""
+        outcome = resumed.get(index)
+        if outcome is None and cache is not None:
+            probed.add(index)
+            outcome = _cache_lookup(cache, keys[index], units[index])
+        if outcome is not None:
+            slots[index] = outcome
+            observe.event("unit.done", index=index, outcome=outcome)
+        return outcome
+
     supervision: Dict[str, int] = {}
     interrupted = False
-    if jobs > 1:
-        try:
-            with interruptible():
-                slots, supervision, interrupted = _run_batch_parallel(
-                    pending,
-                    options,
-                    budget,
-                    degrade,
-                    keep_going,
-                    max_retries,
-                    refine,
-                    solver_stats,
-                    registry,
-                    jobs,
-                    cache,
-                    cache_keys,
-                    chunk_size,
-                    journal=journal_obj if supervise else None,
-                    journal_keys=journal_keys,
-                    policy=policy,
-                    resumed_slots=resumed_slots,
-                    validate=validate,
-                    validate_steps=validate_steps,
-                    trace_dir=trace_dir,
-                    incremental=incremental,
-                    identity_keys=identity_keys,
-                    run_id=run_id,
+    try:
+        with interruptible():
+            if jobs == 1:
+                _run_in_process(
+                    units, config, keys, probe, slots, cache, journal
                 )
-        except KeyboardInterrupt:
-            # Interrupted outside the supervised pool loop (cache probe,
-            # resume replay): nothing in flight, keep what's filled.
-            interrupted = True
-            slots = [None] * len(pending)
-            for index, outcome in resumed_slots.items():
-                slots[index] = outcome
-        first_failure: Optional[int] = None
-        if not keep_going and not interrupted:
-            for index, outcome in enumerate(slots):
-                if outcome is not None and outcome.exit_code in _HARD_FAILURES:
-                    first_failure = index
-                    break
-        for index, (unit, outcome) in enumerate(zip(pending, slots)):
-            if outcome is None or (
-                first_failure is not None and index > first_failure
-            ):
-                result.outcomes.append(_skipped(unit.name))
-                # The scheduler probed the cache for this unit up front,
-                # but a serial run stopping at first_failure never would
-                # have: uncount that lookup so the reported counters
-                # match the serial sweep's exactly.
-                if (
-                    not interrupted
-                    and cache is not None
-                    and cache_keys[index] is not None
-                ):
-                    was_hit = outcome is not None and outcome.cached
-                    cache.uncount(hit=was_hit)
             else:
-                result.outcomes.append(outcome)
-    else:
-        try:
-            with interruptible():
-                for index, unit in enumerate(pending):
-                    outcome = resumed_slots.get(index)
-                    if outcome is None:
-                        outcome = _cache_lookup(
-                            cache, cache_keys[index], unit
-                        )
-                    if outcome is None:
-                        if journal_obj is not None:
-                            journal_obj.append(
-                                {
-                                    "kind": "unit.start",
-                                    "index": index,
-                                    "unit": unit.name,
-                                    "pid": os.getpid(),
-                                    "t": time.time(),
-                                }
-                            )
-                        outcome = _analyze_unit(
-                            unit,
-                            options,
-                            budget,
-                            degrade,
-                            refine,
-                            solver_stats,
-                            registry,
-                            max_retries,
-                            validate=validate,
-                            validate_steps=validate_steps,
-                            trace_dir=trace_dir,
-                            incremental_cache=cache if incremental else None,
-                            identity=(
-                                identity_keys[index]
-                                if identity_keys is not None
-                                else None
-                            ),
-                        )
-                        _cache_store(cache, cache_keys[index], outcome)
-                        if identity_keys is not None:
-                            _state_store(
-                                cache, identity_keys[index], outcome
-                            )
-                        if journal_obj is not None:
-                            journal_obj.append(
-                                {
-                                    "kind": "unit.done",
-                                    "index": index,
-                                    "unit": unit.name,
-                                    "key": journal_keys[index],
-                                    "pid": os.getpid(),
-                                    "t": time.time(),
-                                    "outcome": outcome.to_cache_payload(),
-                                }
-                            )
-                    result.outcomes.append(outcome)
-                    observe.event("unit.done", index=index, outcome=outcome)
-                    if (
-                        not keep_going
-                        and outcome.exit_code in _HARD_FAILURES
-                    ):
-                        for skipped in pending[len(result.outcomes):]:
-                            result.outcomes.append(_skipped(skipped.name))
-                        break
-        except KeyboardInterrupt:
-            # Satellite fix: everything completed before Ctrl-C used to
-            # be silently discarded in the serial path.
-            interrupted = True
-            observe.event(
-                "batch.interrupted",
-                completed=len(result.outcomes),
-                total=len(pending),
-            )
-            for skipped in pending[len(result.outcomes):]:
-                result.outcomes.append(_skipped(skipped.name))
-    result.interrupted = interrupted
-    result.run_id = run_id
+                supervision, interrupted = _run_pool(
+                    units,
+                    config,
+                    keys,
+                    probe,
+                    slots,
+                    journal,
+                    jobs,
+                    chunk_size,
+                    policy,
+                    run_id,
+                )
+    except KeyboardInterrupt:
+        # Outside the supervisor's own drain nothing is in flight:
+        # keep every slot filled so far.
+        interrupted = True
+        observe.event(
+            "batch.interrupted",
+            completed=sum(1 for slot in slots if slot is not None),
+            total=len(units),
+        )
+
+    first = None if config.keep_going else _first_hard_failure(
+        enumerate(slots)
+    )
+    result = BatchResult(interrupted=interrupted, run_id=run_id)
+    for index, (unit, outcome) in enumerate(zip(units, slots)):
+        if outcome is None or (first is not None and index > first):
+            # The pool probed this unit's cache entry up front, but a
+            # serial run stopping at ``first`` never would have.
+            if cache is not None and index in probed and not interrupted:
+                cache.uncount(hit=outcome is not None and outcome.cached)
+            outcome = _skipped(unit.name)
+        else:
+            _store(cache, config, unit, keys[index], outcome)
+        result.outcomes.append(outcome)
     resumed_count = sum(1 for o in result.outcomes if o.resumed)
     if resumed_count:
         supervision["resumed"] = resumed_count

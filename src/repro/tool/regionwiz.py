@@ -397,10 +397,15 @@ def _run_pipeline(
             )
             if solver_stats:
                 _, times.solver = solve_object_pairs(analysis, meter=meter)
+        elif solver_stats:
+            # The stats describe the solve whose pairs yield the warnings.
+            hierarchy = build_hierarchy(analysis.regions, analysis.subregion)
+            pairs, times.solver = solve_object_pairs(
+                analysis, hierarchy, meter=meter
+            )
+            consistency = consistency_from_pairs(analysis, hierarchy, pairs)
         else:
             consistency = check_consistency(analysis)
-            if solver_stats:
-                _, times.solver = solve_object_pairs(analysis, meter=meter)
         span.set(
             regions=len(analysis.regions),
             objects=len(analysis.objects),
@@ -524,9 +529,11 @@ def run_regionwiz(
     refinement (IPSSA-style, deliberately unsound) to suppress warnings
     whose region arguments provably came from the same variable.
 
-    ``solver_stats=True`` re-runs the consistency query on the Datalog
-    engine and attaches its :class:`~repro.datalog.SolverStats` to
-    ``report.times.solver`` (surfaced by ``--stats`` in the CLI).
+    ``solver_stats=True`` answers the consistency query on the Datalog
+    engine, decodes the warnings from that solve, and attaches its
+    :class:`~repro.datalog.SolverStats` to ``report.times.solver``
+    (surfaced by ``--stats`` in the CLI).  An incremental session
+    answers the query itself and re-solves in full for the stats.
 
     ``budget`` bounds each attempt (wall clock, derived tuples, contexts,
     abstract objects); a fresh meter is started per attempt.  Without

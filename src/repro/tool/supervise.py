@@ -86,6 +86,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -97,7 +98,6 @@ from repro.obs import observe
 from repro.obs.trace import Tracer
 from repro.util.budget import ResourceBudget
 from repro.util.errors import HardTimeout, WorkerCrash
-from repro.util.faults import FaultSpec
 
 __all__ = [
     "SupervisePolicy",
@@ -112,10 +112,24 @@ __all__ = [
 #: misread.
 JOURNAL_SCHEMA_VERSION = 1
 
-#: Unit exit codes that stop a ``keep_going=False`` sweep (mirrors
-#: :data:`repro.tool.batch._HARD_FAILURES`; duplicated to keep this
-#: module importable before batch).
+#: Unit exit codes that stop a ``keep_going=False`` sweep.
 _HARD_FAILURES = (2, 3, 4)
+
+
+def _first_hard_failure(slots: Iterable[Tuple[int, Any]]) -> Optional[int]:
+    """The earliest index whose outcome is a hard failure, or ``None``.
+
+    ``slots`` pairs submission indices with outcomes (``None`` for a
+    unit that has none yet).
+    """
+    return min(
+        (
+            index
+            for index, outcome in slots
+            if outcome is not None and outcome.exit_code in _HARD_FAILURES
+        ),
+        default=None,
+    )
 
 
 @dataclass(frozen=True)
@@ -228,40 +242,20 @@ class RunJournal:
             self._reader = open(self.path, "rb")
         self._reader.seek(self._read_pos)
         data = self._reader.read()
-        if not data:
-            return []
         end = data.rfind(b"\n")
         if end < 0:
-            return []  # only a torn line so far
-        consumed = data[: end + 1]
-        self._read_pos += len(consumed)
-        records = []
-        for line in consumed.splitlines():
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                continue
-        return records
+            return []  # nothing new, or only a torn line so far
+        self._read_pos += end + 1
+        return _parse_lines(data[: end + 1])
 
     @staticmethod
     def load(path: str) -> List[Dict[str, Any]]:
         """Every complete, parseable record in ``path`` (tolerant)."""
         try:
             with open(path, "rb") as handle:
-                data = handle.read()
+                return _parse_lines(handle.read())
         except OSError:
             return []
-        records = []
-        for line in data.splitlines():
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                continue
-        return records
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -275,6 +269,20 @@ class RunJournal:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
+
+
+def _parse_lines(data: bytes) -> List[Dict[str, Any]]:
+    """Every parseable JSONL record in ``data``; a torn or corrupt line
+    (a writer died mid-write) is skipped, not fatal."""
+    records = []
+    for line in data.splitlines():
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line.decode("utf-8")))
+        except (ValueError, UnicodeDecodeError):
+            continue
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +366,19 @@ def interruptible() -> Iterator[None]:
 class BatchSupervisor:
     """Run one sweep's pool generations; recover, watch, and retry.
 
-    The batch layer wires in everything process-pool-shaped
-    (``make_config`` rebuilding the worker initializer payload from a
-    fault snapshot, the picklable ``worker_init``/``worker_chunk``/
-    ``solo_entry`` functions, and the chunker) so this class owns only
-    the supervision state machine (plus handing each chunk's worker spans
-    to the installed tracer, if any):
+    The batch layer wires in everything process-pool-shaped (the sweep
+    ``config`` every worker initializer receives, re-armed per pool
+    generation with the current fault snapshot; the picklable
+    ``worker_init``/``worker_chunk``/``solo_entry`` functions; and the
+    chunker) so this class owns only the supervision state machine
+    (plus handing each chunk's worker spans to the installed tracer, if
+    any).  The ``journal`` is the heartbeat and outcome channel every
+    worker writes into:
 
     ``DISPATCH -> (drain | BROKEN)``; on ``BROKEN``: adopt journaled
     outcomes, attribute in-flight units, bisect repeat offenders,
     backoff, respawn; on watchdog expiry: SIGKILL the worker and fold
-    into ``BROKEN``.  Without a journal (supervision off) the loop
-    degrades to the legacy behavior: a broken pool fails its chunks
-    with structured pool-failure outcomes and no retry happens.
+    into ``BROKEN``.
     """
 
     def __init__(
@@ -379,13 +387,10 @@ class BatchSupervisor:
         units: Sequence[Any],
         to_run: List[int],
         jobs: int,
-        keep_going: bool,
         policy: SupervisePolicy,
-        deadline: Optional[float],
-        journal: Optional[RunJournal],
+        journal: RunJournal,
         keys: Sequence[Optional[str]],
-        fault_specs: List[FaultSpec],
-        make_config: Callable[[List[FaultSpec]], Any],
+        config: Any,
         worker_init: Callable,
         worker_chunk: Callable,
         solo_entry: Callable,
@@ -395,12 +400,12 @@ class BatchSupervisor:
         self.units = units
         self.to_run = list(to_run)
         self.jobs = jobs
-        self.keep_going = keep_going
+        self.keep_going = config.keep_going
         self.policy = policy
-        self.deadline = deadline
+        self.deadline = policy.deadline(config.budget)
         self.journal = journal
         self.keys = keys
-        self.make_config = make_config
+        self.config = config
         self.worker_init = worker_init
         self.worker_chunk = worker_chunk
         self.solo_entry = solo_entry
@@ -410,7 +415,7 @@ class BatchSupervisor:
         self.slots: Dict[int, Any] = {}
         self.interrupted = False
         self.stats: Dict[str, int] = defaultdict(int)
-        self._fault_specs = [replace(spec) for spec in fault_specs]
+        self._fault_specs = [replace(spec) for spec in config.fault_specs]
         self._crash_count: Dict[int, int] = defaultdict(int)
         self._timeout_count: Dict[int, int] = defaultdict(int)
         #: index -> (pid, started_at) for units currently heartbeating.
@@ -457,8 +462,6 @@ class BatchSupervisor:
                 break
             if not broken:
                 break  # clean drain (or early stop): nothing to recover
-            if self.journal is None:
-                break  # no heartbeats: chunks already failed structurally
             self._recover(runnable)
             generation += 1
             if generation > max_respawns:
@@ -468,19 +471,17 @@ class BatchSupervisor:
 
     # -- scheduling helpers ------------------------------------------------
 
-    def _first_failure(self) -> Optional[int]:
-        """Earliest submission index with a hard failure (2/3/4)."""
-        first: Optional[int] = None
-        for index, outcome in self.slots.items():
-            if outcome.exit_code in _HARD_FAILURES:
-                if first is None or index < first:
-                    first = index
-        return first
+    def _armed_config(self) -> Any:
+        """The sweep config armed with the current fault snapshot."""
+        return replace(
+            self.config,
+            fault_specs=[replace(spec) for spec in self._fault_specs],
+        )
 
     def _runnable(self) -> List[int]:
         pending = [i for i in self.to_run if i not in self.slots]
         if not self.keep_going:
-            first = self._first_failure()
+            first = _first_hard_failure(self.slots.items())
             if first is not None:
                 # Serial semantics: everything after the earliest hard
                 # failure stays unrun (reported skipped by the caller),
@@ -493,7 +494,7 @@ class BatchSupervisor:
     def _generation(self, runnable: List[int]) -> bool:
         order = list(runnable)
         if self.keep_going:
-            # LPT dispatch (see batch._run_batch_parallel): safe because
+            # Longest-first dispatch: safe because
             # every unit runs regardless of order.
             order.sort(key=lambda i: -len(self.units[i].source))
         workers = min(self.jobs, len(order))
@@ -502,9 +503,7 @@ class BatchSupervisor:
         # serve -- `--jobs 64` on a 3-unit corpus used to fork and
         # gc-freeze 61 idle processes for nothing.
         workers = max(1, min(workers, len(chunks)))
-        config = self.make_config(
-            [replace(spec) for spec in self._fault_specs]
-        )
+        config = self._armed_config()
         self._gen_started = set()
         self._watchdog_killed = set()
         self._running.clear()
@@ -567,7 +566,7 @@ class BatchSupervisor:
                 if (
                     not self.keep_going
                     and not stopping
-                    and self._first_failure() is not None
+                    and _first_hard_failure(self.slots.items()) is not None
                 ):
                     stopping = True
                     for future in not_done:
@@ -598,8 +597,6 @@ class BatchSupervisor:
     # -- journal consumption ----------------------------------------------
 
     def _consume_journal(self) -> None:
-        if self.journal is None:
-            return
         for record in self.journal.tail():
             kind = record.get("kind")
             if kind == "unit.start":
@@ -618,7 +615,7 @@ class BatchSupervisor:
                 )
             elif kind == "telemetry":
                 # Worker metric/RSS deltas piggybacked on the heartbeat
-                # channel (see batch._worker_analyze_chunk); forwarded
+                # channel (see batch._WorkerJournal); forwarded
                 # to the live bus, never interpreted here.
                 observe.event("worker.delta", record=record)
             elif kind == "unit.done":
@@ -688,7 +685,7 @@ class BatchSupervisor:
     # -- the watchdog ------------------------------------------------------
 
     def _watchdog(self) -> None:
-        if self.deadline is None or self.journal is None:
+        if self.deadline is None:
             return
         now = time.time()
         for index, (pid, started) in list(self._running.items()):
@@ -767,9 +764,7 @@ class BatchSupervisor:
         """One unit, one fresh process: find (and quarantine) poison pills."""
         unit = self.units[index]
         observe.event("supervisor.bisect", unit=unit.name)
-        config = self.make_config(
-            [replace(spec) for spec in self._fault_specs]
-        )
+        config = self._armed_config()
         ctx = multiprocessing.get_context()
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(

@@ -230,14 +230,14 @@ class TestWorkerObservability:
 
         from repro.obs.events import EventLog
         from repro.tool.batch import (
-            _WorkerConfig,
+            _SweepConfig,
             _WorkerJournal,
             _worker_analyze_chunk,
             _worker_init,
         )
 
         clean, doomed = figure_units(["fig1", "fig2c"])
-        config = _WorkerConfig(
+        config = _SweepConfig(
             options=None,
             budget=None,
             degrade=True,
@@ -245,11 +245,10 @@ class TestWorkerObservability:
             solver_stats=False,
             registry=None,
             max_retries=0,
+            keep_going=True,
             fault_specs=[
                 faults.FaultSpec("batch-unit", "kill", unit=doomed.name)
             ],
-            observers=(),
-            keep_going=True,
         )
         events = tmp_path / "events.jsonl"
         journal = tmp_path / "journal.jsonl"
@@ -326,7 +325,33 @@ if HAVE_HYPOTHESIS:
                         entry=base.entry,
                     )
                 )
-        return units, draw(st.booleans())
+        return units, draw(st.booleans()), draw(st.booleans())
+
+    def journaled_done(path, result):
+        """The journal's ``unit.done`` records, as a set of
+        ``(unit, key, outcome)`` modulo ``pid``/``t`` and the outcome's
+        timing-dependent payloads, for the units the report carries
+        (a pool worker may finish a unit past an early stop)."""
+        reported = {o.unit for o in result.outcomes if o.status != "skipped"}
+        records = set()
+        with open(path) as handle:
+            for line in handle:
+                record = json.loads(line)
+                if record["kind"] != "unit.done":
+                    continue
+                if record["unit"] not in reported:
+                    continue
+                outcome = dict(record["outcome"])
+                outcome["metrics"] = sorted(outcome.get("metrics") or {})
+                outcome.pop("traceback", None)  # worker-side line numbers
+                records.add(
+                    (
+                        record["unit"],
+                        record["key"],
+                        json.dumps(outcome, sort_keys=True),
+                    )
+                )
+        return records
 
     class TestEquivalenceProperty:
         @settings(
@@ -336,17 +361,20 @@ if HAVE_HYPOTHESIS:
         )
         @given(corpora())
         def test_serial_equals_parallel(self, corpus):
-            """Reports AND post-run cache state match across modes.
+            """Reports AND post-run bookkeeping match across modes.
 
             ``keep_going`` is drawn at random, so the ``False`` draws
             exercise early stops with poison/fault units anywhere in
             the corpus -- exactly the window where in-flight workers
             used to leak results into the cache past the failure.
+            ``incremental`` is drawn too, so the deferred state stores
+            are held to the same bar as the outcome stores, and both
+            runs journal, so the one unit loop's heartbeats agree.
             """
-            units, keep_going = corpus
+            units, keep_going, incremental = corpus
             faults.clear()
 
-            def run(jobs, cache_dir):
+            def run(jobs, cache_dir, journal):
                 # Every 'fault' unit crashes mid-analysis, inside the
                 # worker when parallel: identical structured outcomes
                 # either way.
@@ -359,6 +387,8 @@ if HAVE_HYPOTHESIS:
                         keep_going=keep_going,
                         jobs=jobs,
                         cache=cache_dir,
+                        journal=journal,
+                        incremental=incremental,
                     )
                 finally:
                     faults.clear()
@@ -366,9 +396,15 @@ if HAVE_HYPOTHESIS:
             with tempfile.TemporaryDirectory() as tmp:
                 serial_dir = os.path.join(tmp, "serial")
                 parallel_dir = os.path.join(tmp, "parallel")
-                serial = run(1, serial_dir)
-                parallel = run(2, parallel_dir)
+                serial_journal = os.path.join(tmp, "serial.jsonl")
+                parallel_journal = os.path.join(tmp, "parallel.jsonl")
+                serial = run(1, serial_dir, serial_journal)
+                parallel = run(2, parallel_dir, parallel_journal)
                 assert_equivalent(serial, parallel)
-                assert sorted(os.listdir(serial_dir)) == sorted(
-                    os.listdir(parallel_dir)
-                )
+                listing = sorted(os.listdir(serial_dir))
+                assert listing == sorted(os.listdir(parallel_dir))
+                if incremental and any(o.ok for o in serial.outcomes):
+                    assert any(n.endswith(".state.json") for n in listing)
+                assert journaled_done(
+                    serial_journal, serial
+                ) == journaled_done(parallel_journal, parallel)

@@ -126,3 +126,27 @@ class TestFigureDetails:
         sema = analyze(parse(program.full_source))
         result = run_program(sema, apr_pools_interface())
         assert "XML_ParserFree" in result.external_calls
+
+
+WARNING_FIGURES = [p for p in FIGURES if not p.expect_consistent]
+
+
+@pytest.mark.parametrize("program", WARNING_FIGURES, ids=lambda p: p.name)
+def test_solver_stats_warnings_come_from_the_stats_solve(program, monkeypatch):
+    """``solver_stats=True`` answers the eq. 4.12 query once: the
+    warnings are decoded from the Datalog solve whose stats are
+    reported, so the pipeline never calls ``check_consistency``."""
+    import repro.tool.regionwiz as regionwiz
+
+    plain = analyze_figure(program)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_consistency ran under solver_stats")
+
+    monkeypatch.setattr(regionwiz, "check_consistency", forbidden)
+    stats = analyze_figure(program, solver_stats=True)
+    assert stats.times.solver is not None
+    assert [w.fingerprint for w in stats.warnings] == [
+        w.fingerprint for w in plain.warnings
+    ]
+    assert [str(w) for w in stats.warnings] == [str(w) for w in plain.warnings]
